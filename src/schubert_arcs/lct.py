@@ -4,9 +4,8 @@ The Arnold multiplicity of the pair is the maximum of the contact order
 ord(lambda) over the polytope of normalized Schubert valuations, cut to the
 largest subspace where that piecewise-linear function is linear: plane
 R-partitions of volume one whose corner diagonal sums all agree.  This is a
-small exact linear program.  The log canonical threshold is the reciprocal.
-Rectangular shapes have a closed form, and a brute-force maximization over
-integer plane partitions serves as an independent check.
+small exact linear program.  The log canonical threshold is the reciprocal,
+and rectangular shapes have a closed form.
 """
 
 from __future__ import annotations
@@ -14,8 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .partitions import GrassmannShape, Partition, all_partitions, rim_size, schubert_conditions
-from .plane_partitions import PlanePartition, all_plane_partitions, floors, ord_schubert
+from .partitions import GrassmannShape, Partition, rim_size, schubert_conditions
+from .plane_partitions import PlanePartition
 from .simplex import LPSolution, RationalLP, solve_max
 
 
@@ -129,41 +128,3 @@ def lct_equals_codim(lam: Partition) -> bool:
     """Whether the threshold equals the codimension |lambda|, which happens
     exactly when the diagram has at most as many boxes as its rim."""
     return lam.size <= rim_size(lam)
-
-
-def brute_force_arnold(lam: Partition, height_bound: int) -> Fraction:
-    """Maximize ord(lambda)(beta)/|beta| over integer plane partitions of
-    bounded height; an enumeration cross-check for the linear program.
-
-    The maximum over all of SV(k,n) is attained at a rational vertex, so
-    the bounded search equals the true Arnold multiplicity once the bound
-    covers a scaled vertex.
-    """
-    if not lam:
-        raise ValueError("the pair with the whole Grassmannian has no threshold")
-    best = Fraction(0)
-    for beta in all_plane_partitions(lam.shape, height_bound, include_zero=False):
-        ratio = Fraction(ord_schubert(beta, lam), beta.volume)
-        if ratio > best:
-            best = ratio
-    return best
-
-
-def sv_extremal_points(shape: GrassmannShape) -> list[tuple[tuple[Fraction, ...], ...]]:
-    """Extremal points of the polytope of normalized Schubert valuations:
-    one-floor plane partitions mu scaled to volume one."""
-    out = []
-    for mu in all_partitions(shape):
-        unit = Fraction(1, mu.size)
-        out.append(
-            tuple(
-                tuple(unit if mu.has_cell(i, j) else Fraction(0) for j in range(1, shape.cols + 1))
-                for i in range(1, shape.k + 1)
-            )
-        )
-    return out
-
-
-def distinct_floor_count(beta: PlanePartition) -> int:
-    """Number of distinct floors of a finite plane partition."""
-    return len(set(floors(beta)))

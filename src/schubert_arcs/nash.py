@@ -5,9 +5,10 @@ A stratum closure contains another only if every Pluecker coordinate has
 smaller or equal vanishing order (the Pluecker order) and the codimension,
 which is the number of boxes, strictly increases.  Sufficient criteria come
 from two sources: entrywise comparison of weight exponents, and single-box
-additions at plateau corners with positive fall, chained greedily.  Outside
-G(2, 4) the gap between necessary and sufficient is genuine, so the combined
-verdict falls back to "unknown" rather than guessing.
+additions at plateau corners with positive fall, chained greedily.  On
+G(2, 4) the necessary conditions alone decide; elsewhere the gap between
+necessary and sufficient is genuine, so the combined verdict falls back to
+"unknown" rather than guessing.
 """
 
 from __future__ import annotations
@@ -51,12 +52,27 @@ def _multi_indexes(shape: GrassmannShape):
     return combinations(range(1, shape.n + 1), shape.k)
 
 
-def _first_plucker_violation(beta: PlanePartition, beta2: PlanePartition):
-    """First multi-index whose order drops from beta to beta2, or None."""
+def _plucker_drop(beta: PlanePartition, beta2: PlanePartition) -> str | None:
+    """Witness for the first multi-index, in lexicographic order, whose
+    Pluecker order drops from beta to beta2, or None."""
     for entries in _multi_indexes(beta.shape):
         o, o2 = plucker_ord(beta, entries), plucker_ord(beta2, entries)
         if not o <= o2:
-            return entries, o, o2
+            return f"order of {format_multi_index(entries)} drops: {o} > {o2}"
+    return None
+
+
+def _refutation(beta: PlanePartition, beta2: PlanePartition) -> str | None:
+    """Witness that the closure of the first stratum cannot contain the
+    second, or None: some Pluecker order drops, or both volumes are finite
+    and fail the strict increase that a strict containment of irreducible
+    closed strata forces.  Meant for distinct arguments."""
+    drop = _plucker_drop(beta, beta2)
+    if drop is not None:
+        return drop
+    vol, vol2 = beta.volume, beta2.volume
+    if not (isinstance(vol, Infinity) and isinstance(vol2, Infinity)) and not vol < vol2:
+        return f"volume must strictly increase: {vol} vs {vol2}"
     return None
 
 
@@ -64,25 +80,17 @@ def plucker_leq(beta: PlanePartition, beta2: PlanePartition) -> bool:
     """Pluecker order: every coordinate vanishes to order at most that of
     the second argument's stratum."""
     _same_shape(beta, beta2)
-    return _first_plucker_violation(beta, beta2) is None
+    return _plucker_drop(beta, beta2) is None
 
 
 def necessary_containment(beta: PlanePartition, beta2: PlanePartition) -> bool:
     """Whether the containment of stratum closures is not yet excluded.
 
-    False means impossible: either some Pluecker order drops, or both
-    volumes are finite and fail the strict increase that a strict
-    containment of irreducible closed strata forces.
+    False means impossible: some Pluecker order drops, or the volume does
+    not strictly increase (see _refutation).
     """
     _same_shape(beta, beta2)
-    if beta == beta2:
-        return True
-    if not plucker_leq(beta, beta2):
-        return False
-    vol, vol2 = beta.volume, beta2.volume
-    if isinstance(vol, Infinity) and isinstance(vol2, Infinity):
-        return True
-    return vol < vol2
+    return beta == beta2 or _refutation(beta, beta2) is None
 
 
 def sufficient_by_weight_exponents(beta: PlanePartition, beta2: PlanePartition) -> bool:
@@ -150,65 +158,25 @@ def sufficient_by_plateau(beta: PlanePartition, beta2: PlanePartition) -> bool:
     return _plateau_chain(beta, beta2) is not None
 
 
-def _g24_orders(beta: PlanePartition) -> dict[tuple[int, int], ExtNat]:
-    """Closed-form Pluecker orders on G(2, 4)."""
-    b11, b12 = beta.at(1, 1), beta.at(1, 2)
-    b21, b22 = beta.at(2, 1), beta.at(2, 2)
-    return {
-        (1, 2): b11 + b22,
-        (1, 3): min(b11, b12 + b21 - b22),
-        (1, 4): b21,
-        (2, 3): b12,
-        (2, 4): b22,
-        (3, 4): 0,
-    }
-
-
-def g24_containment(beta: PlanePartition, beta2: PlanePartition) -> ContainmentVerdict:
-    """Exact containment decision on G(2, 4): the Pluecker order, evaluated
-    through its six closed forms, decides containment there."""
-    shape = _same_shape(beta, beta2)
-    if (shape.k, shape.n) != (2, 4):
-        raise ValueError(f"the exact decision only covers G(2, 4), not {shape!r}")
-    orders, orders2 = _g24_orders(beta), _g24_orders(beta2)
-    for entries in sorted(orders):
-        o, o2 = orders[entries], orders2[entries]
-        if not o <= o2:
-            return ContainmentVerdict(
-                "not-contains",
-                f"order of {format_multi_index(entries)} drops: {o} > {o2}",
-            )
-    return ContainmentVerdict(
-        "contains", "all six Pluecker orders compare, which decides G(2, 4)"
-    )
-
-
 def compare(beta: PlanePartition, beta2: PlanePartition) -> ContainmentVerdict:
     """Best available verdict on whether the closure of the first stratum
     contains the second.
 
-    On G(2, 4) the answer is exact.  Elsewhere the necessary conditions
-    (Pluecker order, strict volume increase) can refute, the sufficient
-    criteria (weight exponents, plateau chains) can confirm, and the
-    remaining gap is reported as "unknown".
+    One pass for every shape: the necessary conditions (Pluecker order,
+    then strict volume increase) can refute; on G(2, 4) their passing
+    decides containment; elsewhere the sufficient criteria (weight
+    exponents, then plateau chains) can confirm, and the remaining gap is
+    reported as "unknown".
     """
     shape = _same_shape(beta, beta2)
     if beta == beta2:
         return ContainmentVerdict("contains", "equal plane partitions")
+    refutation = _refutation(beta, beta2)
+    if refutation is not None:
+        return ContainmentVerdict("not-contains", refutation)
     if (shape.k, shape.n) == (2, 4):
-        return g24_containment(beta, beta2)
-    violation = _first_plucker_violation(beta, beta2)
-    if violation is not None:
-        entries, o, o2 = violation
         return ContainmentVerdict(
-            "not-contains",
-            f"order of {format_multi_index(entries)} drops: {o} > {o2}",
-        )
-    vol, vol2 = beta.volume, beta2.volume
-    if not (isinstance(vol, Infinity) and isinstance(vol2, Infinity)) and not vol < vol2:
-        return ContainmentVerdict(
-            "not-contains",
-            f"volume must strictly increase: {vol} vs {vol2}",
+            "contains", "all six Pluecker orders compare, which decides G(2, 4)"
         )
     if sufficient_by_weight_exponents(beta, beta2):
         return ContainmentVerdict("contains", "weight exponents compare entrywise")

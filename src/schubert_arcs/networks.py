@@ -17,8 +17,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .partitions import GrassmannShape, minor_of_multi_index, partition_from_multi_index
-from .plane_partitions import ExtNat, PlanePartition, weight_exponents
-from .series import SeriesMatrix, TruncatedSeries, big_cell_arc
+from .plane_partitions import ExtNat, PlanePartition, diagonal_sum, weight_exponents
+from .series import PrecisionExceeded, SeriesMatrix, TruncatedSeries, big_cell_arc
 
 
 class PlanarNetwork:
@@ -313,7 +313,11 @@ def generic_arc(
     The affine block is the weight matrix of the essential weighting; the
     unit coefficients are all 1 by default or drawn from a seeded generator.
     Infinite entries are rejected: they have no finite-precision realization.
+    A precision below the largest contact order the weighting must realize,
+    the diagonal sum at (1, 1), raises PrecisionExceeded at that position.
     """
     net = gamma0(beta.shape)
-    weighting = essential_weighting(beta, precision, seed)
+    weighting = essential_weighting(beta, precision, seed)  # inf entries raise here
+    if precision < diagonal_sum(beta, 1, 1):
+        raise PrecisionExceeded((1, 1), precision + 1)
     return big_cell_arc(weight_matrix(net, weighting))

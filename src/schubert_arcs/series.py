@@ -317,25 +317,6 @@ def minor_order(matrix: SeriesMatrix, rows, cols) -> OrderValue:
     return series_det(matrix, rows, cols).order()
 
 
-def determinantal_order_ideal(matrix: SeriesMatrix, size: int) -> OrderValue:
-    """Smallest vanishing order among all minors of the given size.
-
-    Size zero is the unit ideal (order 0); a size larger than the matrix
-    admits no minors, giving the zero ideal and infinite order.
-    """
-    if size == 0:
-        return OrderValue.of(0)
-    if size > min(matrix.nrows, matrix.ncols):
-        return OrderValue.infinite()
-    best = OrderValue.infinite()
-    for rows in combinations(range(matrix.nrows), size):
-        for cols in combinations(range(matrix.ncols), size):
-            best = best.min_with(minor_order(matrix, rows, cols))
-            if best == 0:
-                return best
-    return best
-
-
 def _rank_of_constant_term(matrix: SeriesMatrix) -> int:
     rows = [[Fraction(c) for c in row] for row in matrix.constant_term()]
     rank = 0
@@ -513,7 +494,10 @@ def parse_series(text: str, precision: int) -> TruncatedSeries:
         m = _TERM.match(text, pos)
         if not m or (m.group("coef") is None and m.group("t") is None):
             raise ValueError(f"cannot parse series {text!r} at offset {pos}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        try:
+            coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in series {text!r}") from None
         if m.group("t"):
             exp = int(m.group("exp")) if m.group("exp") else 1
         else:

@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the code path it checks: determinants
 are expanded over permutations, linear programs are solved by enumerating
-basic solutions, and singular loci are read off torus fixed points.
+basic solutions or by brute-force search over integer plane partitions,
+singular loci are read off torus fixed points, and the Pluecker orders of
+G(2, 4) come from their closed forms.
 """
 
 from fractions import Fraction
@@ -17,7 +19,10 @@ from schubert_arcs import (
     PlanePartition,
     TruncatedSeries,
     all_partitions,
+    all_plane_partitions,
+    floors,
 )
+from schubert_arcs.plane_partitions import ord_schubert
 
 
 def shapes_up_to(max_n):
@@ -162,6 +167,61 @@ def brute_lp_max(lp):
         if best is None or value > best:
             best = value
     return best
+
+
+def brute_force_arnold(lam, height_bound):
+    """Maximize ord(lambda)(beta)/|beta| over integer plane partitions of
+    bounded height; an enumeration cross-check for the linear program.
+
+    The maximum over all of SV(k,n) is attained at a rational vertex, so
+    the bounded search equals the true Arnold multiplicity once the bound
+    covers a scaled vertex.
+    """
+    if not lam:
+        raise ValueError("the pair with the whole Grassmannian has no threshold")
+    best = Fraction(0)
+    for beta in all_plane_partitions(lam.shape, height_bound, include_zero=False):
+        ratio = Fraction(ord_schubert(beta, lam), beta.volume)
+        if ratio > best:
+            best = ratio
+    return best
+
+
+def sv_extremal_points(shape):
+    """Extremal points of the polytope of normalized Schubert valuations:
+    one-floor plane partitions mu scaled to volume one."""
+    out = []
+    for mu in all_partitions(shape):
+        unit = Fraction(1, mu.size)
+        out.append(
+            tuple(
+                tuple(unit if mu.has_cell(i, j) else Fraction(0) for j in range(1, shape.cols + 1))
+                for i in range(1, shape.k + 1)
+            )
+        )
+    return out
+
+
+def distinct_floor_count(beta):
+    """Number of distinct floors of a finite plane partition."""
+    return len(set(floors(beta)))
+
+
+# -- Closed forms on G(2, 4) ----------------------------------------------------
+
+
+def g24_orders(beta):
+    """Pluecker orders of a G(2, 4) plane partition from their closed forms."""
+    b11, b12 = beta.at(1, 1), beta.at(1, 2)
+    b21, b22 = beta.at(2, 1), beta.at(2, 2)
+    return {
+        (1, 2): b11 + b22,
+        (1, 3): min(b11, b12 + b21 - b22),
+        (1, 4): b21,
+        (2, 3): b12,
+        (2, 4): b22,
+        (3, 4): 0,
+    }
 
 
 # -- Random inputs --------------------------------------------------------------

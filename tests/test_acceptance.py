@@ -16,7 +16,6 @@ from schubert_arcs import (
     Partition,
     PlanePartition,
     arnold_multiplicity,
-    brute_force_arnold,
     codim_chain,
     compare,
     generic_arc,
@@ -30,7 +29,6 @@ from schubert_arcs import (
     singular_components,
     sufficient_by_plateau,
 )
-from schubert_arcs.lct import distinct_floor_count
 from schubert_arcs.networks import (
     essential_weighting,
     gamma0,
@@ -43,7 +41,13 @@ from schubert_arcs.partitions import all_partitions
 from schubert_arcs.plane_partitions import ord_schubert
 from schubert_arcs.series import parse_arc_matrix, series_det
 
-from oracles import grown_plane_partition, random_plane_partition, shapes_up_to
+from oracles import (
+    brute_force_arnold,
+    distinct_floor_count,
+    grown_plane_partition,
+    random_plane_partition,
+    shapes_up_to,
+)
 
 G24 = GrassmannShape(2, 4)
 

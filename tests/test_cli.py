@@ -118,6 +118,12 @@ def test_profile_error_exits():
     assert code == 2
 
 
+def test_zero_denominator_exits_2():
+    code, out, err = run(["profile", "--k", "2", "--n", "4", "--arc", "1/0,0,0,1;0,t,1,0"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "zero denominator" in err
+
+
 def test_order_by_schubert_variety():
     code, out, _ = run(
         ["order", "--k", "2", "--n", "4", "--beta", "2 2; 2 1", "--lambda", "1"]
@@ -217,6 +223,14 @@ def test_generic_arc_seed_is_reproducible():
     arc = first[1].strip()
     payload = run_json(["profile", "--k", "2", "--n", "4", "--arc", arc])
     assert payload["beta"] == "2 2; 2 1"
+
+
+def test_generic_arc_below_the_needed_precision_exits_3():
+    code, out, err = run(
+        ["generic-arc", "--k", "2", "--n", "4", "--beta", "9 9; 9 9", "--prec", "2"]
+    )
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "precision" in err
 
 
 def test_invalid_input_exits_2():

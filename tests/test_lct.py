@@ -10,7 +10,6 @@ from schubert_arcs import (
     PlanePartition,
     arnold_multiplicity,
     arnold_witness,
-    brute_force_arnold,
     build_lp,
     integer_witness,
     lct,
@@ -18,13 +17,17 @@ from schubert_arcs import (
     lct_rectangular,
     rim_size,
     solve_max,
-    sv_extremal_points,
 )
-from schubert_arcs.lct import distinct_floor_count
 from schubert_arcs.partitions import all_partitions
 from schubert_arcs.plane_partitions import floors, ord_schubert
 
-from oracles import brute_lp_max, shapes_up_to
+from oracles import (
+    brute_force_arnold,
+    brute_lp_max,
+    distinct_floor_count,
+    shapes_up_to,
+    sv_extremal_points,
+)
 
 G24 = GrassmannShape(2, 4)
 

@@ -1,5 +1,6 @@
 """Containment verdicts, discrepancy data, box chains, Nash valuations."""
 
+import itertools
 import random
 
 import pytest
@@ -13,7 +14,6 @@ from schubert_arcs import (
     codim_chain,
     compare,
     discrepancy_data,
-    g24_containment,
     nash_valuations,
     necessary_containment,
     plucker_leq,
@@ -21,10 +21,10 @@ from schubert_arcs import (
     sufficient_by_plateau,
     sufficient_by_weight_exponents,
 )
-from schubert_arcs.partitions import Partition, all_partitions
+from schubert_arcs.partitions import Partition, all_partitions, format_multi_index
 from schubert_arcs.plane_partitions import all_plane_partitions
 
-from oracles import random_plane_partition, shapes_up_to
+from oracles import g24_orders, random_plane_partition, shapes_up_to
 
 G24 = GrassmannShape(2, 4)
 G25 = GrassmannShape(2, 5)
@@ -51,18 +51,41 @@ def test_mismatched_shapes_rejected():
 def test_g24_exact_decision():
     smaller = pp("1 1; 1 0", G24)
     larger = pp("1 1; 1 1", G24)
-    assert g24_containment(smaller, larger) == ContainmentVerdict(
+    assert compare(smaller, larger) == ContainmentVerdict(
         "contains", "all six Pluecker orders compare, which decides G(2, 4)"
     )
-    assert g24_containment(larger, smaller) == ContainmentVerdict(
+    assert compare(larger, smaller) == ContainmentVerdict(
         "not-contains", "order of [1,2] drops: 2 > 1"
     )
 
 
-def test_g24_only_covers_g24():
-    beta = pp("1 0 0; 0 0 0", G25)
-    with pytest.raises(ValueError):
-        g24_containment(beta, beta)
+def test_g24_decision_matches_closed_forms_exhaustively():
+    # Every G(2, 4) plane partition with entries up to 3, plus inf pillars
+    # on a north-west region: the Pluecker orders alone decide.
+    values = (0, 1, 2, 3, INF)
+    betas = []
+    for b11, b12, b21, b22 in itertools.product(values, repeat=4):
+        try:
+            betas.append(PlanePartition([[b11, b12], [b21, b22]], G24))
+        except ValueError:
+            pass
+    assert len(betas) == 105
+    orders = {beta: g24_orders(beta) for beta in betas}
+    for beta, beta2 in itertools.product(betas, repeat=2):
+        o, o2 = orders[beta], orders[beta2]
+        drops = [e for e in sorted(o) if not o[e] <= o2[e]]
+        if beta == beta2:
+            expected = ContainmentVerdict("contains", "equal plane partitions")
+        elif drops:
+            e = drops[0]
+            expected = ContainmentVerdict(
+                "not-contains", f"order of {format_multi_index(e)} drops: {o[e]} > {o2[e]}"
+            )
+        else:
+            expected = ContainmentVerdict(
+                "contains", "all six Pluecker orders compare, which decides G(2, 4)"
+            )
+        assert compare(beta, beta2) == expected, (beta, beta2)
 
 
 def test_compare_dispatches_to_g24():

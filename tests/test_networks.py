@@ -10,6 +10,7 @@ from schubert_arcs import (
     INF,
     GrassmannShape,
     PlanePartition,
+    PrecisionExceeded,
     generic_arc,
     invariant_factor_profile,
     weight_exponents,
@@ -216,6 +217,19 @@ def test_generic_arc_of_zero_stratum():
     assert invariant_factor_profile(generic_arc(beta)) == beta
     for entries in itertools.combinations(range(1, 5), 2):
         assert plucker_ord(beta, entries) == 0
+
+
+def test_generic_arc_needs_the_largest_contact_order():
+    beta = PlanePartition([[9, 9], [9, 9]], G24)
+    with pytest.raises(PrecisionExceeded) as info:
+        generic_arc(beta, precision=2)
+    assert (info.value.position, info.value.bound) == ((1, 1), 3)
+    with pytest.raises(PrecisionExceeded) as info:
+        generic_arc(beta, precision=17)
+    assert info.value.bound == 18
+    assert invariant_factor_profile(generic_arc(beta, precision=18)) == beta
+    with pytest.raises(ValueError):
+        generic_arc(PlanePartition([[INF, 9], [9, 9]], G24), precision=2)
 
 
 def test_wedge_edge_interpolates_between_strata():
