@@ -14,18 +14,8 @@ from fractions import Fraction
 from math import lcm
 
 from .partitions import GrassmannShape, Partition, rim_size, schubert_conditions
-from .plane_partitions import PlanePartition
+from .plane_partitions import PlanePartition, _diagonal_positions
 from .simplex import LPSolution, RationalLP, solve_max
-
-
-def _diagonal_positions(shape: GrassmannShape, a: int, b: int) -> list[tuple[int, int]]:
-    out = []
-    i, j = a, b
-    while i <= shape.k and j <= shape.cols:
-        out.append((i, j))
-        i += 1
-        j += 1
-    return out
 
 
 def _var(shape: GrassmannShape, i: int, j: int) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 from .partitions import GrassmannShape, Partition, format_multi_index, singular_components
 from .plane_partitions import (
@@ -26,7 +25,7 @@ from .plane_partitions import (
     plateaux,
     weight_exponents,
 )
-from .networks import plucker_ord
+from .networks import _plucker_orders
 
 
 @dataclass(frozen=True)
@@ -48,15 +47,10 @@ def _same_shape(beta: PlanePartition, beta2: PlanePartition) -> GrassmannShape:
     return beta.shape
 
 
-def _multi_indexes(shape: GrassmannShape):
-    return combinations(range(1, shape.n + 1), shape.k)
-
-
 def _plucker_drop(beta: PlanePartition, beta2: PlanePartition) -> str | None:
     """Witness for the first multi-index, in lexicographic order, whose
     Pluecker order drops from beta to beta2, or None."""
-    for entries in _multi_indexes(beta.shape):
-        o, o2 = plucker_ord(beta, entries), plucker_ord(beta2, entries)
+    for (entries, o), (_, o2) in zip(_plucker_orders(beta), _plucker_orders(beta2)):
         if not o <= o2:
             return f"order of {format_multi_index(entries)} drops: {o} > {o2}"
     return None
@@ -205,9 +199,7 @@ def discrepancy_data(beta: PlanePartition) -> tuple[int, int, int]:
     if not beta.is_finite:
         raise ValueError("discrepancy data requires a finite plane partition")
     vol = beta.volume
-    q = 0
-    for entries in _multi_indexes(beta.shape):
-        q = math.gcd(q, plucker_ord(beta, entries))
+    q = math.gcd(*(order for _, order in _plucker_orders(beta)))
     return vol, q, vol - q
 
 

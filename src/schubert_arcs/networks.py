@@ -15,6 +15,7 @@ Grid positions, source labels, and sink labels are 1-based throughout.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 
 from .partitions import GrassmannShape, minor_of_multi_index, partition_from_multi_index
 from .plane_partitions import ExtNat, PlanePartition, diagonal_sum, weight_exponents
@@ -264,19 +265,9 @@ def _tropical_placement(beta: PlanePartition):
     return vertex, edge
 
 
-def tropical_minor_order(beta: PlanePartition, sources, sinks) -> ExtNat:
-    """Vanishing order of the [sources|sinks]-minor of any arc generic for
-    beta: minimum over vertex-disjoint path families of the summed exponents.
-
-    Exactness rests on the positivity of the path-family expansion: with
-    all family weights entering with coefficient +1, the smallest exponent
-    cannot cancel.  Empty index sets give the empty minor, order 0.
-    """
-    sources, sinks = tuple(sources), tuple(sinks)
-    if not sources and not sinks:
-        return 0
-    vertex, edge = _tropical_placement(beta)
-    network = gamma0(beta.shape)
+def _least_family_total(network: PlanarNetwork, sources, sinks, vertex, edge) -> ExtNat:
+    """Minimum over the vertex-disjoint path families of the summed
+    exponents of a placement (vertex and edge dicts)."""
     best: ExtNat | None = None
     for family in network.families(sources, sinks):
         total: ExtNat = 0
@@ -294,6 +285,21 @@ def tropical_minor_order(beta: PlanePartition, sources, sinks) -> ExtNat:
     return best
 
 
+def tropical_minor_order(beta: PlanePartition, sources, sinks) -> ExtNat:
+    """Vanishing order of the [sources|sinks]-minor of any arc generic for
+    beta: minimum over vertex-disjoint path families of the summed exponents.
+
+    Exactness rests on the positivity of the path-family expansion: with
+    all family weights entering with coefficient +1, the smallest exponent
+    cannot cancel.  Empty index sets give the empty minor, order 0.
+    """
+    sources, sinks = tuple(sources), tuple(sinks)
+    if not sources and not sinks:
+        return 0
+    vertex, edge = _tropical_placement(beta)
+    return _least_family_total(gamma0(beta.shape), sources, sinks, vertex, edge)
+
+
 def plucker_ord(beta: PlanePartition, entries) -> ExtNat:
     """Vanishing order of a Pluecker coordinate on the stratum of beta.
 
@@ -303,6 +309,21 @@ def plucker_ord(beta: PlanePartition, entries) -> ExtNat:
     partition_from_multi_index(entries, beta.shape)
     rows, cols = minor_of_multi_index(entries, beta.shape)
     return tropical_minor_order(beta, rows, cols)
+
+
+def _plucker_orders(beta: PlanePartition):
+    """(multi-index, Pluecker order) for every multi-index of the shape, in
+    lexicographic order, with the weights placed once for the whole stream.
+    The empty minor, multi-index [n-k+1, ..., n], has order 0.
+
+    Lazy, so a caller that stops early evaluates no further minor.
+    """
+    shape = beta.shape
+    vertex, edge = _tropical_placement(beta)
+    network = gamma0(shape)
+    for entries in combinations(range(1, shape.n + 1), shape.k):
+        rows, cols = minor_of_multi_index(entries, shape)
+        yield entries, _least_family_total(network, rows, cols, vertex, edge) if rows else 0
 
 
 def generic_arc(

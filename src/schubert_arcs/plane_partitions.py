@@ -190,14 +190,16 @@ class PlanePartition:
         return f"PlanePartition({format_plane_partition(self)!r}, {self.shape!r})"
 
 
+def _diagonal_positions(shape: GrassmannShape, a: int, b: int):
+    """Positions (a, b), (a+1, b+1), ... of the diagonal, within the box."""
+    return zip(range(a, shape.k + 1), range(b, shape.cols + 1))
+
+
 def diagonal_sum(beta: PlanePartition, a: int, b: int) -> ExtNat:
     """Sum of entries on the diagonal starting at (a, b), within the box."""
     total: ExtNat = 0
-    i, j = a, b
-    while i <= beta.shape.k and j <= beta.shape.cols:
+    for i, j in _diagonal_positions(beta.shape, a, b):
         total = total + beta.at(i, j)
-        i += 1
-        j += 1
     return total
 
 

@@ -11,11 +11,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from schubert_arcs import (
-    INF,
     GrassmannShape,
     Infinity,
     OrderValue,
-    Partition,
     PlanePartition,
     TruncatedSeries,
     all_partitions,

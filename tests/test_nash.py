@@ -22,7 +22,6 @@ from schubert_arcs import (
     sufficient_by_weight_exponents,
 )
 from schubert_arcs.partitions import Partition, all_partitions, format_multi_index
-from schubert_arcs.plane_partitions import all_plane_partitions
 
 from oracles import g24_orders, random_plane_partition, shapes_up_to
 

@@ -15,9 +15,11 @@ from schubert_arcs import (
     invariant_factor_profile,
     weight_exponents,
 )
+from schubert_arcs.nash import nash_valuations
 from schubert_arcs.networks import (
     EssentialWeighting,
     PlanarNetwork,
+    _plucker_orders,
     essential_weighting,
     gamma0,
     lindstrom_minor,
@@ -25,11 +27,11 @@ from schubert_arcs.networks import (
     tropical_minor_order,
     weight_matrix,
 )
-from schubert_arcs.partitions import final_minor
+from schubert_arcs.partitions import all_partitions, final_minor
 from schubert_arcs.plane_partitions import all_plane_partitions, essential_profile
 from schubert_arcs.series import TruncatedSeries, big_cell_arc, format_arc_matrix, series_det
 
-from oracles import random_plane_partition, shapes_up_to
+from oracles import grown_plane_partition, random_plane_partition, shapes_up_to
 
 G24 = GrassmannShape(2, 4)
 G25 = GrassmannShape(2, 5)
@@ -203,6 +205,31 @@ def test_plucker_ord_validates_entries():
         plucker_ord(beta, (2, 2))
     with pytest.raises(ValueError):
         plucker_ord(beta, (0, 1))
+
+
+def test_plucker_order_stream_matches_single_coordinates():
+    # One weight placement per stream must give every coordinate the order
+    # plucker_ord gives it alone, in lexicographic order of multi-indexes.
+    rng = random.Random(3)
+    for shape in (G24, G25, GrassmannShape(3, 6), GrassmannShape(3, 7), GrassmannShape(4, 8)):
+        k, c = shape.k, shape.cols
+        cases = []
+        for _ in range(4):
+            beta = random_plane_partition(shape, 3, rng)
+            cases += [beta, grown_plane_partition(beta, rng.randint(1, 4), rng)]
+            a, b = rng.randint(1, k), rng.randint(1, c)
+            rows = [[INF if i < a and j < b else e for j, e in enumerate(row)]
+                    for i, row in enumerate(beta.rows)]
+            cases.append(PlanePartition(rows, shape))
+        singular = [lam for lam in all_partitions(shape) if lam and nash_valuations(lam)]
+        for lam in rng.sample(singular, min(3, len(singular))):
+            cases += nash_valuations(lam)
+        for beta in cases:
+            expected = [
+                (entries, plucker_ord(beta, entries))
+                for entries in itertools.combinations(range(1, shape.n + 1), k)
+            ]
+            assert list(_plucker_orders(beta)) == expected, beta
 
 
 def test_generic_arc_frozen_text():
