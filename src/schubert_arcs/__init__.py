@@ -4,146 +4,68 @@ Exact combinatorial and power-series computations: contact profiles of arcs,
 plane-partition strata and their containment tests, log canonical thresholds
 via exact rational linear programming, and the planar networks that
 parametrize generic arcs.
+
+Submodules load on first use (PEP 562): reading one of a submodule's public
+names imports it and binds all of its names here, so a caller pays only for
+the layers it touches.
 """
+
+from importlib import import_module as _import_module
+
+# Bound now because the function shares its name with its submodule: left
+# to __getattr__, the attribute would be the submodule whenever that was
+# imported first.
+from .lct import lct
 
 __version__ = "0.1.0"
 
-from .partitions import (
-    GrassmannShape,
-    Partition,
-    all_partitions,
-    bruhat_leq,
-    multi_index_from_partition,
-    outside_corners,
-    partition_from_multi_index,
-    rim_size,
-    schubert_conditions,
-    singular_components,
-)
-from .plane_partitions import (
-    INF,
-    ExtNat,
-    Infinity,
-    InvalidPlanePartition,
-    PlanePartition,
-    all_plane_partitions,
-    contact_profile,
-    essential_profile,
-    floors,
-    from_essential,
-    from_floors,
-    home_center,
-    ord_schubert,
-    plateaux,
-    weight_exponents,
-)
-from .series import (
-    NotAnArc,
-    NotInBigCell,
-    OrderValue,
-    PrecisionExceeded,
-    SeriesMatrix,
-    TruncatedSeries,
-    borel_translate,
-    invariant_factor_profile,
-    is_generic_form,
-    plucker_order_of_arc,
-)
-from .networks import (
-    PlanarNetwork,
-    essential_weighting,
-    gamma0,
-    generic_arc,
-    lindstrom_minor,
-    plucker_ord,
-    tropical_minor_order,
-    weight_matrix,
-)
-from .nash import (
-    ContainmentVerdict,
-    codim,
-    codim_chain,
-    compare,
-    discrepancy_data,
-    nash_valuations,
-    necessary_containment,
-    plucker_leq,
-    sufficient_by_plateau,
-    sufficient_by_weight_exponents,
-)
-from .simplex import LPSolution, RationalLP, solve_max
-from .lct import (
-    arnold_multiplicity,
-    arnold_witness,
-    build_lp,
-    integer_witness,
-    lct,
-    lct_equals_codim,
-    lct_rectangular,
-)
+# The public names, by the submodule that defines them.
+_EXPORTS = {
+    "partitions": (
+        "GrassmannShape", "Partition", "all_partitions", "bruhat_leq",
+        "multi_index_from_partition", "outside_corners", "partition_from_multi_index",
+        "rim_size", "schubert_conditions", "singular_components",
+    ),
+    "plane_partitions": (
+        "INF", "ExtNat", "Infinity", "InvalidPlanePartition", "PlanePartition",
+        "PrecisionExceeded", "all_plane_partitions", "contact_profile", "essential_profile",
+        "floors", "from_essential", "from_floors", "home_center", "ord_schubert",
+        "plateaux", "weight_exponents",
+    ),
+    "series": (
+        "NotAnArc", "NotInBigCell", "OrderValue", "SeriesMatrix", "TruncatedSeries",
+        "borel_translate", "invariant_factor_profile", "is_generic_form",
+        "plucker_order_of_arc",
+    ),
+    "networks": (
+        "PlanarNetwork", "essential_weighting", "gamma0", "generic_arc", "lindstrom_minor",
+        "plucker_ord", "tropical_minor_order", "weight_matrix",
+    ),
+    "nash": (
+        "ContainmentVerdict", "codim", "codim_chain", "compare", "discrepancy_data",
+        "nash_valuations", "necessary_containment", "plucker_leq", "sufficient_by_plateau",
+        "sufficient_by_weight_exponents",
+    ),
+    "simplex": ("LPSolution", "RationalLP", "solve_max"),
+    "lct": (
+        "arnold_multiplicity", "arnold_witness", "build_lp", "integer_witness", "lct",
+        "lct_equals_codim", "lct_rectangular",
+    ),
+}
 
-__all__ = [
-    "ContainmentVerdict",
-    "ExtNat",
-    "GrassmannShape",
-    "INF",
-    "Infinity",
-    "InvalidPlanePartition",
-    "LPSolution",
-    "NotAnArc",
-    "NotInBigCell",
-    "OrderValue",
-    "Partition",
-    "PlanarNetwork",
-    "PlanePartition",
-    "PrecisionExceeded",
-    "RationalLP",
-    "SeriesMatrix",
-    "TruncatedSeries",
-    "all_partitions",
-    "all_plane_partitions",
-    "arnold_multiplicity",
-    "arnold_witness",
-    "borel_translate",
-    "bruhat_leq",
-    "build_lp",
-    "codim",
-    "codim_chain",
-    "compare",
-    "contact_profile",
-    "discrepancy_data",
-    "essential_profile",
-    "essential_weighting",
-    "floors",
-    "from_essential",
-    "from_floors",
-    "gamma0",
-    "generic_arc",
-    "home_center",
-    "integer_witness",
-    "invariant_factor_profile",
-    "is_generic_form",
-    "lct",
-    "lct_equals_codim",
-    "lct_rectangular",
-    "lindstrom_minor",
-    "multi_index_from_partition",
-    "nash_valuations",
-    "necessary_containment",
-    "ord_schubert",
-    "outside_corners",
-    "partition_from_multi_index",
-    "plateaux",
-    "plucker_leq",
-    "plucker_ord",
-    "plucker_order_of_arc",
-    "rim_size",
-    "schubert_conditions",
-    "singular_components",
-    "solve_max",
-    "sufficient_by_plateau",
-    "sufficient_by_weight_exponents",
-    "tropical_minor_order",
-    "weight_exponents",
-    "weight_matrix",
-]
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    for module_name, names in _EXPORTS.items():
+        if name in names:
+            module = _import_module(f".{module_name}", __name__)
+            globals().update((n, getattr(module, n)) for n in names)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -7,47 +7,23 @@ JSON document (--json).  Exact rationals are always rendered as "p/q".
 
 Exit codes: 0 on success, 2 for invalid input, 3 when a computation runs
 out of series precision, 4 for internal invariant violations.
+
+Each handler imports the layers it uses, so a run loads only what its
+subcommand needs: the LP subcommands never load the series or network
+stacks.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from fractions import Fraction
 
-from . import nash
-from .lct import arnold_witness
-from .networks import generic_arc, plucker_ord
-from .partitions import (
-    GrassmannShape,
-    all_partitions,
-    format_partition,
-    parse_multi_index,
-    parse_partition,
-    singular_components,
-)
-from .plane_partitions import (
-    Infinity,
-    essential_profile,
-    format_ext,
-    format_ext_matrix,
-    format_plane_partition,
-    ord_schubert,
-    parse_plane_partition,
-)
-from .series import (
-    NotInBigCell,
-    PrecisionExceeded,
-    borel_translate,
-    format_arc_matrix,
-    invariant_factor_profile,
-    parse_arc_matrix,
-)
+from .partitions import GrassmannShape
+from .plane_partitions import PrecisionExceeded
 
 
-def _frac(value: Fraction) -> str:
-    value = Fraction(value)
+def _frac(value) -> str:
+    """An int or Fraction as "p/q"."""
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -56,6 +32,8 @@ def _frac_matrix(matrix) -> str:
 
 
 def _ext_json(value):
+    from .plane_partitions import Infinity, format_ext
+
     return format_ext(value) if isinstance(value, Infinity) else value
 
 
@@ -64,6 +42,9 @@ def _shape(args) -> GrassmannShape:
 
 
 def cmd_lct(args):
+    from .lct import arnold_witness
+    from .partitions import format_partition, parse_partition
+
     shape = _shape(args)
     lam = parse_partition(args.lam, shape)
     arnold, vertex = arnold_witness(lam)
@@ -84,6 +65,9 @@ def cmd_lct(args):
 
 
 def cmd_lct_table(args):
+    from .lct import arnold_witness
+    from .partitions import all_partitions, format_partition
+
     shape = _shape(args)
     rows = []
     plain = []
@@ -102,6 +86,19 @@ def cmd_lct_table(args):
 
 
 def cmd_profile(args):
+    from .plane_partitions import (
+        essential_profile,
+        format_ext,
+        format_ext_matrix,
+        format_plane_partition,
+    )
+    from .series import (
+        NotInBigCell,
+        borel_translate,
+        invariant_factor_profile,
+        parse_arc_matrix,
+    )
+
     shape = _shape(args)
     arc = parse_arc_matrix(args.arc, args.prec)
     if (arc.nrows, arc.ncols) != (shape.k, shape.n):
@@ -133,6 +130,10 @@ def cmd_profile(args):
 
 
 def cmd_order(args):
+    from .networks import plucker_ord
+    from .partitions import parse_multi_index, parse_partition
+    from .plane_partitions import format_ext, ord_schubert, parse_plane_partition
+
     shape = _shape(args)
     beta = parse_plane_partition(args.beta, shape)
     if args.lam is not None:
@@ -145,6 +146,9 @@ def cmd_order(args):
 
 
 def cmd_nash_compare(args):
+    from . import nash
+    from .plane_partitions import parse_plane_partition
+
     shape = _shape(args)
     beta = parse_plane_partition(args.beta, shape)
     beta2 = parse_plane_partition(args.beta2, shape)
@@ -154,6 +158,9 @@ def cmd_nash_compare(args):
 
 
 def cmd_codim(args):
+    from . import nash
+    from .plane_partitions import format_ext, parse_plane_partition
+
     shape = _shape(args)
     beta = parse_plane_partition(args.beta, shape)
     if not beta.is_finite:
@@ -170,6 +177,9 @@ def cmd_codim(args):
 
 
 def cmd_chain(args):
+    from . import nash
+    from .plane_partitions import format_plane_partition, parse_plane_partition
+
     shape = _shape(args)
     beta = parse_plane_partition(args.beta, shape)
     chain = nash.codim_chain(beta)
@@ -182,6 +192,10 @@ def cmd_chain(args):
 
 
 def cmd_nash_valuations(args):
+    from . import nash
+    from .partitions import parse_partition
+    from .plane_partitions import format_plane_partition
+
     shape = _shape(args)
     lam = parse_partition(args.lam, shape)
     valuations = nash.nash_valuations(lam)
@@ -190,6 +204,10 @@ def cmd_nash_valuations(args):
 
 
 def cmd_sing(args):
+    from . import nash
+    from .partitions import format_partition, parse_partition, singular_components
+    from .plane_partitions import format_plane_partition
+
     shape = _shape(args)
     lam = parse_partition(args.lam, shape)
     components = singular_components(lam)
@@ -207,6 +225,10 @@ def cmd_sing(args):
 
 
 def cmd_generic_arc(args):
+    from .networks import generic_arc
+    from .plane_partitions import parse_plane_partition
+    from .series import format_arc_matrix
+
     shape = _shape(args)
     beta = parse_plane_partition(args.beta, shape)
     arc = generic_arc(beta, precision=args.prec, seed=args.seed)
@@ -296,6 +318,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     if args.json:
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(plain))

@@ -14,7 +14,7 @@ necessary and sufficient is genuine, so the combined verdict falls back to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .partitions import GrassmannShape, Partition, format_multi_index, singular_components
 from .plane_partitions import (
@@ -28,8 +28,7 @@ from .plane_partitions import (
 from .networks import _plucker_orders
 
 
-@dataclass(frozen=True)
-class ContainmentVerdict:
+class ContainmentVerdict(namedtuple("ContainmentVerdict", "relation witness")):
     """Outcome of a containment test, with a human-checkable witness.
 
     relation is "contains" (closure of the first stratum contains the
@@ -37,8 +36,7 @@ class ContainmentVerdict:
     the reason in witness.
     """
 
-    relation: str
-    witness: str
+    __slots__ = ()
 
 
 def _same_shape(beta: PlanePartition, beta2: PlanePartition) -> GrassmannShape:

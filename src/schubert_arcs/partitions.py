@@ -10,27 +10,40 @@ throughout this module; they are combinatorial labels, not array offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import combinations
-from typing import Iterator
 
 
-@dataclass(frozen=True)
 class GrassmannShape:
     """Ambient shape: G(k, n) with 1 <= k < n. The box has k rows, n-k columns."""
 
-    k: int
-    n: int
+    __slots__ = ("k", "n")
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.k, int) and isinstance(self.n, int)):
+    def __init__(self, k: int, n: int):
+        if not (isinstance(k, int) and isinstance(n, int)):
             raise ValueError("shape parameters must be integers")
-        if not 1 <= self.k < self.n:
-            raise ValueError(f"need 1 <= k < n, got k={self.k}, n={self.n}")
+        if not 1 <= k < n:
+            raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GrassmannShape is immutable")
+
+    def __reduce__(self):
+        return GrassmannShape, (self.k, self.n)
 
     @property
     def cols(self) -> int:
         return self.n - self.k
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k == other.k and self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.n))
 
     def __repr__(self) -> str:
         return f"GrassmannShape({self.k}, {self.n})"

@@ -14,7 +14,7 @@ Matrix rows are stored as tuples; positions (i, j) in public results are
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .partitions import GrassmannShape, Partition, schubert_conditions
 
@@ -55,6 +55,15 @@ class Infinity:
     __radd__ = __add__
 
     def __sub__(self, other):
+        """inf - x is inf for every x, inf included.
+
+        weight_exponents takes differences of neighbouring entries, and
+        along an infinite pillar both are inf.  The exponent stays inf, so
+        a path family through that position has infinite total and the
+        tropical minimum falls to the families avoiding it.  The exhaustive
+        G(2, 4) comparison in tests/test_nash.py, inf pillars included,
+        checks the Pluecker orders this gives against the closed forms.
+        """
         return self
 
     def __rsub__(self, other):
@@ -88,6 +97,22 @@ def parse_ext(token: str) -> ExtNat:
 
 def format_ext(value: ExtNat) -> str:
     return "inf" if isinstance(value, Infinity) else str(value)
+
+
+class PrecisionExceeded(Exception):
+    """An order needed exactly is only known as a lower bound.
+
+    ``position`` is the 1-based rectangle position (a, b) whose contact
+    order could not be resolved, ``bound`` the surviving lower bound.
+    """
+
+    def __init__(self, position: tuple[int, int], bound: int):
+        super().__init__(
+            f"contact order at rectangle {position} is >= {bound}; "
+            "recompute at higher precision"
+        )
+        self.position = position
+        self.bound = bound
 
 
 class InvalidPlanePartition(ValueError):
@@ -220,11 +245,18 @@ def ord_schubert(beta: PlanePartition, lam: Partition) -> ExtNat:
 
 def essential_profile(beta: PlanePartition) -> tuple[tuple[ExtNat, ...], ...]:
     """Matrix of contact orders with all rectangle Schubert varieties:
-    entry (i, j) is the diagonal sum of beta starting at (i, j)."""
+    entry (i, j) is the diagonal sum of beta starting at (i, j).
+
+    Filled from the bottom-right corner, so each diagonal is summed once:
+    a sum is its first entry plus the sum starting one step further down.
+    """
     k, c = beta.shape.k, beta.shape.cols
-    return tuple(
-        tuple(diagonal_sum(beta, i, j) for j in range(1, c + 1)) for i in range(1, k + 1)
-    )
+    alpha = [[0] * (c + 1) for _ in range(k + 1)]
+    for i in range(k - 1, -1, -1):
+        row, below = alpha[i], alpha[i + 1]
+        for j in range(c - 1, -1, -1):
+            row[j] = beta.rows[i][j] + below[j + 1]
+    return tuple(tuple(row[:c]) for row in alpha[:k])
 
 
 def from_essential(alpha, shape: GrassmannShape) -> PlanePartition:

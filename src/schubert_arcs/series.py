@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .partitions import GrassmannShape, final_multi_index
-from .plane_partitions import INF, PlanePartition, from_essential
+from .plane_partitions import INF, PlanePartition, PrecisionExceeded, from_essential
 
 
 class NotAnArc(ValueError):
@@ -34,22 +34,6 @@ class NotInBigCell(ValueError):
     Apply :func:`borel_translate` first; contact profiles are invariant
     under that change of coordinates.
     """
-
-
-class PrecisionExceeded(Exception):
-    """An order needed exactly is only known as a lower bound.
-
-    ``position`` is the 1-based rectangle position (a, b) whose contact
-    order could not be resolved, ``bound`` the surviving lower bound.
-    """
-
-    def __init__(self, position: tuple[int, int], bound: int):
-        super().__init__(
-            f"contact order at rectangle {position} is >= {bound}; "
-            "recompute at higher precision"
-        )
-        self.position = position
-        self.bound = bound
 
 
 class OrderValue:

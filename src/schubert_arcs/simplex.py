@@ -14,12 +14,11 @@ the pivot count, and no gcd reduction is ever needed in the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
 
-@dataclass
 class RationalLP:
     """maximize objective . x  subject to the constraints and x >= 0.
 
@@ -27,9 +26,10 @@ class RationalLP:
     "<=", ">=", "=".  Coefficients and rhs may be ints or Fractions.
     """
 
-    n_vars: int
-    objective: list
-    constraints: list = field(default_factory=list)
+    def __init__(self, n_vars: int, objective: list, constraints: list | None = None):
+        self.n_vars = n_vars
+        self.objective = objective
+        self.constraints = [] if constraints is None else constraints
 
     def add(self, coefficients, relation: str, rhs) -> None:
         if relation not in ("<=", ">=", "="):
@@ -39,11 +39,11 @@ class RationalLP:
         self.constraints.append((list(coefficients), relation, rhs))
 
 
-@dataclass
-class LPSolution:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    value: Fraction | None = None
-    vertex: tuple | None = None
+class LPSolution(namedtuple("LPSolution", "status value vertex", defaults=(None, None))):
+    """status is "optimal", "infeasible" or "unbounded"; an optimal
+    solution carries its value and one optimal vertex."""
+
+    __slots__ = ()
 
 
 def _scale_to_integers(coefficients, rhs):

@@ -1,12 +1,32 @@
-"""Text parsers: malformed input of any kind raises ValueError and nothing else."""
+"""Text parsers: malformed input of any kind raises ValueError and nothing
+else, and parsing what a formatter wrote gives back the same value."""
+
+from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schubert_arcs import GrassmannShape
-from schubert_arcs.partitions import parse_multi_index, parse_partition
-from schubert_arcs.plane_partitions import parse_plane_partition
-from schubert_arcs.series import parse_arc_matrix, parse_series
+from schubert_arcs import (
+    INF,
+    GrassmannShape,
+    Partition,
+    PlanePartition,
+    SeriesMatrix,
+    TruncatedSeries,
+)
+from schubert_arcs.partitions import (
+    format_multi_index,
+    format_partition,
+    parse_multi_index,
+    parse_partition,
+)
+from schubert_arcs.plane_partitions import format_plane_partition, parse_plane_partition
+from schubert_arcs.series import (
+    format_arc_matrix,
+    format_series,
+    parse_arc_matrix,
+    parse_series,
+)
 
 G24 = GrassmannShape(2, 4)
 
@@ -37,3 +57,99 @@ def test_parsers_return_or_raise_value_error(text):
             parse(text)
         except ValueError:
             pass
+
+
+# -- parse(format(x)) == x ----------------------------------------------------
+
+ROUND_TRIP = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+COEFFICIENTS = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=12),
+)
+
+
+@st.composite
+def shapes(draw, max_n=7):
+    n = draw(st.integers(2, max_n))
+    return GrassmannShape(draw(st.integers(1, n - 1)), n)
+
+
+def series_at(precision):
+    return st.lists(COEFFICIENTS, min_size=precision + 1, max_size=precision + 1).map(
+        TruncatedSeries
+    )
+
+
+@st.composite
+def arc_matrices(draw):
+    shape = draw(shapes(max_n=5))
+    entry = series_at(draw(st.integers(0, 4)))
+    rows = [[draw(entry) for _ in range(shape.n)] for _ in range(shape.k)]
+    return SeriesMatrix(rows)
+
+
+@st.composite
+def plane_partitions(draw):
+    """Suffix maxima of a random matrix, with inf pillars on a north-west
+    partition-shaped region."""
+    shape = draw(shapes())
+    k, c = shape.k, shape.cols
+    rows = [[draw(st.integers(0, 5)) for _ in range(c)] for _ in range(k)]
+    for i in reversed(range(k)):
+        for j in reversed(range(c)):
+            below = rows[i + 1][j] if i + 1 < k else 0
+            right = rows[i][j + 1] if j + 1 < c else 0
+            rows[i][j] = max(rows[i][j], below, right)
+    pillars = sorted((draw(st.integers(0, c)) for _ in range(k)), reverse=True)
+    for row, count in zip(rows, pillars):
+        row[:count] = [INF] * count
+    return PlanePartition(rows, shape)
+
+
+@st.composite
+def partitions(draw):
+    shape = draw(shapes())
+    parts = draw(st.lists(st.integers(1, shape.cols), max_size=shape.k))
+    return Partition(sorted(parts, reverse=True), shape)
+
+
+@st.composite
+def multi_indexes(draw):
+    shape = draw(shapes())
+    entries = draw(
+        st.lists(st.integers(1, shape.n), min_size=shape.k, max_size=shape.k, unique=True)
+    )
+    return tuple(sorted(entries)), shape
+
+
+@ROUND_TRIP
+@given(st.integers(0, 8).flatmap(series_at))
+@example(TruncatedSeries([0, -1, Fraction(1, 2), Fraction(-7, 3)]))
+def test_series_round_trip(series):
+    assert parse_series(format_series(series), series.precision) == series
+
+
+@settings(ROUND_TRIP, max_examples=100)
+@given(arc_matrices())
+def test_arc_matrix_round_trip(arc):
+    assert parse_arc_matrix(format_arc_matrix(arc), arc.precision) == arc
+
+
+@ROUND_TRIP
+@given(plane_partitions())
+def test_plane_partition_round_trip(beta):
+    assert parse_plane_partition(format_plane_partition(beta), beta.shape) == beta
+
+
+@ROUND_TRIP
+@given(partitions())
+def test_partition_round_trip(lam):
+    assert parse_partition(format_partition(lam), lam.shape) == lam
+
+
+@ROUND_TRIP
+@given(multi_indexes())
+def test_multi_index_round_trip(case):
+    entries, shape = case
+    assert parse_multi_index(format_multi_index(entries), shape) == entries

@@ -1,5 +1,8 @@
 """Partitions in the box, Bruhat order, corners, and the minor dictionary."""
 
+import copy
+import pickle
+
 import pytest
 
 from schubert_arcs import (
@@ -40,6 +43,22 @@ def test_shape_rejects_degenerate_box():
     with pytest.raises(ValueError):
         GrassmannShape(4, 4)
     assert GrassmannShape(3, 7).cols == 4
+
+
+def test_shape_is_an_immutable_value():
+    shape = GrassmannShape(2, 4)
+    assert shape == GrassmannShape(k=2, n=4) and shape != GrassmannShape(2, 5)
+    assert shape != (2, 4)
+    assert hash(shape) == hash((2, 4))
+    assert repr(shape) == "GrassmannShape(2, 4)"
+    with pytest.raises(AttributeError):
+        shape.k = 3
+    assert copy.deepcopy(shape) == shape
+    assert pickle.loads(pickle.dumps(shape)) == shape
+    with pytest.raises(ValueError, match="shape parameters must be integers"):
+        GrassmannShape(2.0, 4)
+    with pytest.raises(ValueError, match=r"need 1 <= k < n, got k=3, n=2"):
+        GrassmannShape(3, 2)
 
 
 def test_partition_must_fit_and_decrease():

@@ -31,7 +31,7 @@ from schubert_arcs.plane_partitions import (
     parse_plane_partition,
 )
 
-from oracles import random_plane_partition, shapes_up_to
+from oracles import grown_plane_partition, random_plane_partition, shapes_up_to
 
 G24 = GrassmannShape(2, 4)
 G36 = GrassmannShape(3, 6)
@@ -133,6 +133,28 @@ def test_profile_round_trip_with_infinite_pillars():
     beta = pp("inf inf 1; inf 1 1; 2 1 0", G36)
     assert from_essential(essential_profile(beta), G36) == beta
     assert essential_profile(beta)[0][0] == INF
+
+
+def test_essential_profile_is_every_diagonal_sum():
+    rng = random.Random(7)
+    shapes = [GrassmannShape(k, n) for n in range(4, 13) for k in range(2, n - 1)]
+    for shape in shapes:
+        k, c = shape.k, shape.cols
+        for _ in range(3):
+            beta = random_plane_partition(shape, 4, rng)
+            grown = grown_plane_partition(beta, rng.randint(1, 6), rng)
+            a, b = rng.randint(1, k), rng.randint(1, c)
+            pillars = PlanePartition(
+                [[INF if i < a and j < b else e for j, e in enumerate(row)]
+                 for i, row in enumerate(grown.rows)],
+                shape,
+            )
+            for case in (beta, grown, pillars):
+                expected = tuple(
+                    tuple(diagonal_sum(case, i, j) for j in range(1, c + 1))
+                    for i in range(1, k + 1)
+                )
+                assert essential_profile(case) == expected, case
 
 
 def test_from_essential_rejects_bad_profiles():
