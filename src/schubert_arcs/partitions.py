@@ -11,7 +11,6 @@ throughout this module; they are combinatorial labels, not array offsets.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import combinations
 
 
 class GrassmannShape:
@@ -73,6 +72,9 @@ class Partition:
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")
+
+    def __reduce__(self):
+        return Partition, (self.parts, self.shape)
 
     def __eq__(self, other) -> bool:
         return (
@@ -295,23 +297,6 @@ def multi_index_of_minor(rows, cols, shape: GrassmannShape) -> tuple[int, ...]:
     return tuple(sorted(cols)) + tuple(sorted(complement))
 
 
-def minor_leq(label1, label2) -> bool:
-    """Partial order on minor labels under which ideals of Schubert varieties
-    are generated by the minors not above a given one.
-
-    (rows1, cols1) <= (rows2, cols2) when the first minor is at least as
-    large and its leading rows and columns are entrywise at most those of
-    the second.  Smaller in the order means deeper in the variety.
-    """
-    rows1, cols1 = label1
-    rows2, cols2 = label2
-    if len(rows1) < len(rows2):
-        return False
-    return all(rows1[u] <= rows2[u] for u in range(len(rows2))) and all(
-        cols1[u] <= cols2[u] for u in range(len(cols2))
-    )
-
-
 def final_minor(shape: GrassmannShape, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The largest minor with upper-left entry (a, b): rows a..a+r, columns
     b..b+r where r = min(k-a, n-k-b).
@@ -330,32 +315,6 @@ def final_multi_index(shape: GrassmannShape, a: int, b: int) -> tuple[int, ...]:
     """Pluecker multi-index of the final minor at (a, b)."""
     rows, cols = final_minor(shape, a, b)
     return multi_index_of_minor(rows, cols, shape)
-
-
-def rectangle_ideal_minors(
-    shape: GrassmannShape, a: int, b: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Minor labels generating the ideal of the rectangle Schubert variety
-    with corner (a, b) on the opposite big cell.
-
-    With r = min(k-a, n-k-b), these are the minors of size r+1 inside the
-    first b+r columns when the box below the rectangle is at least as wide
-    as tall, and inside the first a+r rows otherwise.
-    """
-    k, c = shape.k, shape.cols
-    if not (1 <= a <= k and 1 <= b <= c):
-        raise ValueError(f"position ({a}, {b}) outside the {k} x {c} box")
-    r = min(k - a, c - b)
-    s = r + 1
-    if k - a <= c - b:
-        row_pool, col_pool = range(1, k + 1), range(1, b + r + 1)
-    else:
-        row_pool, col_pool = range(1, a + r + 1), range(1, c + 1)
-    return [
-        (rows, cols)
-        for rows in combinations(row_pool, s)
-        for cols in combinations(col_pool, s)
-    ]
 
 
 # -- Text formats ------------------------------------------------------------

@@ -159,6 +159,9 @@ class PlanePartition:
     def __setattr__(self, name, value):
         raise AttributeError("PlanePartition is immutable")
 
+    def __reduce__(self):
+        return PlanePartition, (self.rows, self.shape)
+
     @classmethod
     def zero(cls, shape: GrassmannShape) -> "PlanePartition":
         return cls([[0] * shape.cols] * shape.k, shape)

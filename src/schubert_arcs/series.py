@@ -21,7 +21,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from .partitions import GrassmannShape, final_multi_index
-from .plane_partitions import INF, PlanePartition, PrecisionExceeded, from_essential
+from .plane_partitions import (
+    Infinity, PlanePartition, PrecisionExceeded, essential_profile, from_essential,
+)
 
 
 class NotAnArc(ValueError):
@@ -97,8 +99,6 @@ class OrderValue:
             return self.kind == other.kind and self.value == other.value
         if isinstance(other, int):
             return self.is_exact and self.value == other
-        from .plane_partitions import Infinity
-
         if isinstance(other, Infinity):
             return self.is_infinite
         return NotImplemented
@@ -114,27 +114,29 @@ class OrderValue:
         return f">={self.value}"
 
 
-def _norm_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
 class TruncatedSeries:
-    """A power series known exactly modulo t^(precision+1)."""
+    """A power series known exactly modulo t^(precision+1).
+
+    Coefficients are kept as computed: an integral ``Fraction`` stays a
+    ``Fraction`` (equal, with the same hash, to the ``int``), so a series
+    built from integral Fractions, or a fractional series multiplied into
+    integral values, holds Fractions in ``coeffs``.  :func:`format_series`
+    writes every coefficient in lowest terms, and :func:`parse_series`
+    reads integral coefficients as ints.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, precision: int | None = None):
-        coeffs = [_norm_coeff(c) for c in coeffs]
+        coeffs = tuple(coeffs)
         if precision is not None:
             if len(coeffs) > precision + 1:
                 coeffs = coeffs[: precision + 1]
             else:
-                coeffs += [0] * (precision + 1 - len(coeffs))
+                coeffs += (0,) * (precision + 1 - len(coeffs))
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant coefficient")
-        self.coeffs = tuple(coeffs)
+        self.coeffs = coeffs
 
     @property
     def precision(self) -> int:
@@ -242,9 +244,6 @@ class SeriesMatrix:
     def precision(self) -> int:
         return self.entries[0][0].precision
 
-    def column_slice(self, ncols: int) -> "SeriesMatrix":
-        return SeriesMatrix([row[:ncols] for row in self.entries])
-
     def constant_term(self) -> list[list]:
         return [[e.coeffs[0] for e in row] for row in self.entries]
 
@@ -301,8 +300,9 @@ def minor_order(matrix: SeriesMatrix, rows, cols) -> OrderValue:
     return series_det(matrix, rows, cols).order()
 
 
-def _rank_of_constant_term(matrix: SeriesMatrix) -> int:
-    rows = [[Fraction(c) for c in row] for row in matrix.constant_term()]
+def _rank_of_constant_term(const) -> int:
+    """Rank over Q of a matrix of constant terms, by Gauss-Jordan elimination."""
+    rows = [[Fraction(c) for c in row] for row in const]
     rank = 0
     for col in range(len(rows[0])):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
@@ -325,10 +325,12 @@ def _check_big_cell(arc: SeriesMatrix) -> None:
     k, n = arc.nrows, arc.ncols
     if not k < n:
         raise NotAnArc(f"a {k} x {n} matrix does not present a proper subspace")
-    if _rank_of_constant_term(arc) < k:
+    const = arc.constant_term()
+    if _rank_of_constant_term(const) < k:
         raise NotAnArc("no maximal minor is a unit")
-    last = range(n - k, n)
-    if not series_det(arc, range(k), last).is_unit:
+    # a minor is a unit exactly when its constant term, the determinant of
+    # the constant block, is nonzero
+    if _rank_of_constant_term([row[n - k :] for row in const]) < k:
         raise NotInBigCell(
             "the minor on the last k columns is not a unit; "
             "apply borel_translate first"
@@ -374,7 +376,7 @@ def invariant_factor_profile(arc: SeriesMatrix) -> PlanePartition:
                         break
             if best.kind == "at_least":
                 raise PrecisionExceeded((a, b), best.value)
-            row.append(best.value if best.is_exact else INF)
+            row.append(best.value)
         alpha.append(row)
     try:
         return from_essential(alpha, shape)
@@ -403,8 +405,6 @@ def is_generic_form(arc: SeriesMatrix, beta: PlanePartition) -> bool:
     if profile != beta:
         return False
     shape = beta.shape
-    from .plane_partitions import essential_profile
-
     alpha = essential_profile(beta)
     for a in range(1, shape.k + 1):
         for b in range(1, shape.cols + 1):
@@ -428,7 +428,8 @@ def borel_translate(arc: SeriesMatrix, seed: int = 0) -> SeriesMatrix:
     so profiles computed after translation are profiles of the original arc.
     """
     k, n = arc.nrows, arc.ncols
-    if _rank_of_constant_term(arc) < k:
+    const = arc.constant_term()
+    if _rank_of_constant_term(const) < k:
         raise NotAnArc("no maximal minor is a unit")
     rng = random.Random(seed)
     prec = arc.precision
@@ -440,19 +441,20 @@ def borel_translate(arc: SeriesMatrix, seed: int = 0) -> SeriesMatrix:
             ]
             for i in range(n)
         ]
-        rows = []
-        for row in arc.entries:
-            new_row = []
-            for j in range(n):
-                acc = TruncatedSeries.zero(prec)
-                for i in range(n):
-                    if u[i][j]:
-                        acc = acc + row[i] * u[i][j]
-                new_row.append(acc)
-            rows.append(new_row)
-        candidate = SeriesMatrix(rows)
-        if series_det(candidate, range(k), range(n - k, n)).is_unit:
-            return candidate
+        # the translate is in the big cell when the constant term of its
+        # last k columns, (const . u) on those columns, has full rank
+        block = [
+            [sum(row[i] * u[i][j] for i in range(n)) for j in range(n - k, n)]
+            for row in const
+        ]
+        if _rank_of_constant_term(block) == k:
+            zero = TruncatedSeries.zero(prec)
+            return SeriesMatrix(
+                [
+                    [sum((row[i] * u[i][j] for i in range(n) if u[i][j]), zero) for j in range(n)]
+                    for row in arc.entries
+                ]
+            )
     raise RuntimeError("internal: failed to reach the big cell by translation")
 
 
@@ -495,17 +497,22 @@ def parse_series(text: str, precision: int) -> TruncatedSeries:
             raise ValueError(f"cannot parse series {text!r} at offset {pos}")
         sign = -1 if text[pos] == "-" else 1
         pos += 1
-    return TruncatedSeries(coeffs)
+    return TruncatedSeries(c.numerator if c.denominator == 1 else c for c in coeffs)
 
 
 def format_series(series: TruncatedSeries) -> str:
+    """Text form of a series, each coefficient in lowest terms.
+
+    >>> format_series(TruncatedSeries([Fraction(1, 2), Fraction(3, 2)]) * 2)
+    '1+3*t'
+    """
     parts = []
     for e, c in enumerate(series.coeffs):
         if not c:
             continue
         sign = "-" if c < 0 else "+"
         c = abs(c)
-        num = str(c) if isinstance(c, int) else f"{c.numerator}/{c.denominator}"
+        num = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
         if e == 0:
             body = num
         else:

@@ -3,24 +3,30 @@
 Everything here deliberately avoids the code path it checks: determinants
 are expanded over permutations, linear programs are solved by enumerating
 basic solutions or by brute-force search over integer plane partitions,
-singular loci are read off torus fixed points, and the Pluecker orders of
-G(2, 4) come from their closed forms.
+singular loci are read off torus fixed points, the Pluecker orders of
+G(2, 4) come from their closed forms, and big-cell membership is decided
+by series determinants rather than by constant terms.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from schubert_arcs import (
     GrassmannShape,
     Infinity,
+    NotAnArc,
+    NotInBigCell,
     OrderValue,
     PlanePartition,
+    SeriesMatrix,
     TruncatedSeries,
     all_partitions,
     all_plane_partitions,
     floors,
 )
 from schubert_arcs.plane_partitions import ord_schubert
+from schubert_arcs.series import series_det
 
 
 def shapes_up_to(max_n):
@@ -72,6 +78,112 @@ def naive_alpha(arc):
             row.append(best)
         grid.append(tuple(row))
     return tuple(grid)
+
+
+# -- Minor labels and column slices ---------------------------------------------
+
+
+def minor_leq(label1, label2) -> bool:
+    """Partial order on minor labels under which ideals of Schubert varieties
+    are generated by the minors not above a given one.
+
+    (rows1, cols1) <= (rows2, cols2) when the first minor is at least as
+    large and its leading rows and columns are entrywise at most those of
+    the second.  Smaller in the order means deeper in the variety.
+    """
+    rows1, cols1 = label1
+    rows2, cols2 = label2
+    if len(rows1) < len(rows2):
+        return False
+    return all(rows1[u] <= rows2[u] for u in range(len(rows2))) and all(
+        cols1[u] <= cols2[u] for u in range(len(cols2))
+    )
+
+
+def rectangle_ideal_minors(
+    shape: GrassmannShape, a: int, b: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Minor labels generating the ideal of the rectangle Schubert variety
+    with corner (a, b) on the opposite big cell.
+
+    With r = min(k-a, n-k-b), these are the minors of size r+1 inside the
+    first b+r columns when the box below the rectangle is at least as wide
+    as tall, and inside the first a+r rows otherwise.
+    """
+    k, c = shape.k, shape.cols
+    if not (1 <= a <= k and 1 <= b <= c):
+        raise ValueError(f"position ({a}, {b}) outside the {k} x {c} box")
+    r = min(k - a, c - b)
+    s = r + 1
+    if k - a <= c - b:
+        row_pool, col_pool = range(1, k + 1), range(1, b + r + 1)
+    else:
+        row_pool, col_pool = range(1, a + r + 1), range(1, c + 1)
+    return [
+        (rows, cols)
+        for rows in combinations(row_pool, s)
+        for cols in combinations(col_pool, s)
+    ]
+
+
+def column_slice(matrix, ncols):
+    return SeriesMatrix([row[:ncols] for row in matrix.entries])
+
+
+# -- Big-cell membership by series determinants ---------------------------------
+
+
+def _has_unit_maximal_minor(arc):
+    k, n = arc.nrows, arc.ncols
+    return any(series_det(arc, range(k), cols).is_unit for cols in combinations(range(n), k))
+
+
+def check_big_cell_by_series_det(arc):
+    """The arc and big-cell checks of invariant_factor_profile, each read off
+    series determinants: some maximal minor, and the minor on the last k
+    columns, must be units."""
+    k, n = arc.nrows, arc.ncols
+    if not k < n:
+        raise NotAnArc(f"a {k} x {n} matrix does not present a proper subspace")
+    if not _has_unit_maximal_minor(arc):
+        raise NotAnArc("no maximal minor is a unit")
+    if not series_det(arc, range(k), range(n - k, n)).is_unit:
+        raise NotInBigCell(
+            "the minor on the last k columns is not a unit; "
+            "apply borel_translate first"
+        )
+
+
+def borel_translate_by_series_det(arc, seed=0):
+    """borel_translate with every random translate built in full and
+    accepted when its series minor on the last k columns is a unit."""
+    k, n = arc.nrows, arc.ncols
+    if not _has_unit_maximal_minor(arc):
+        raise NotAnArc("no maximal minor is a unit")
+    rng = random.Random(seed)
+    prec = arc.precision
+    for _ in range(32):
+        u = [
+            [
+                rng.randint(1, 9) if i == j else (rng.randint(-9, 9) if j > i else 0)
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        rows = []
+        for row in arc.entries:
+            new_row = []
+            for j in range(n):
+                acc = TruncatedSeries.zero(prec)
+                for i in range(n):
+                    if u[i][j]:
+                        acc = acc + row[i] * u[i][j]
+                new_row.append(acc)
+            rows.append(new_row)
+        candidate = SeriesMatrix(rows)
+        if series_det(candidate, range(k), range(n - k, n)).is_unit:
+            return candidate
+    raise RuntimeError("internal: failed to reach the big cell by translation")
 
 
 # -- Singular loci from torus fixed points -------------------------------------

@@ -22,16 +22,20 @@ from schubert_arcs.partitions import (
     final_multi_index,
     format_multi_index,
     format_partition,
-    minor_leq,
     minor_of_multi_index,
     multi_index_of_minor,
     parse_multi_index,
     parse_partition,
-    rectangle_ideal_minors,
 )
 from itertools import combinations
 
-from oracles import fixed_point_census, shapes_up_to
+from oracles import (
+    column_slice,
+    fixed_point_census,
+    minor_leq,
+    rectangle_ideal_minors,
+    shapes_up_to,
+)
 
 G24 = GrassmannShape(2, 4)
 G36 = GrassmannShape(3, 6)
@@ -59,6 +63,17 @@ def test_shape_is_an_immutable_value():
         GrassmannShape(2.0, 4)
     with pytest.raises(ValueError, match=r"need 1 <= k < n, got k=3, n=2"):
         GrassmannShape(3, 2)
+
+
+def test_partitions_copy_and_pickle():
+    cases = [Partition((), G24), Partition((2, 1), G24), Partition((3, 1, 1), G36)]
+    cases += list(all_partitions(GrassmannShape(3, 5)))
+    for lam in cases:
+        for twin in (copy.copy(lam), copy.deepcopy(lam), pickle.loads(pickle.dumps(lam))):
+            assert type(twin) is Partition
+            assert twin == lam and hash(twin) == hash(lam)
+            with pytest.raises(AttributeError):
+                twin.parts = ()
 
 
 def test_partition_must_fit_and_decrease():
@@ -229,7 +244,7 @@ def test_rectangle_ideal_minors_realize_contact_orders():
     from schubert_arcs.series import parse_arc_matrix, series_det
 
     arc = parse_arc_matrix("t^2,0,0,1; 0,t,1,0", 8)
-    affine = arc.column_slice(2)
+    affine = column_slice(arc, 2)
     alpha = essential_profile(invariant_factor_profile(arc))
     for a in range(1, 3):
         for b in range(1, 3):

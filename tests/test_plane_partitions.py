@@ -1,5 +1,7 @@
 """Plane partitions, contact profiles, floors, and plateaux."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -127,6 +129,26 @@ def test_profile_round_trip_random():
         for _ in range(20):
             beta = random_plane_partition(shape, 5, rng)
             assert from_essential(essential_profile(beta), shape) == beta
+
+
+def test_plane_partitions_copy_and_pickle():
+    cases = [
+        PlanePartition.zero(G24),
+        pp("3 2; 1 1"),
+        pp("inf 1; 1 0"),
+        pp("inf inf 1; inf 1 1; 2 1 0", G36),
+        PlanePartition.constant(G36, INF),
+    ]
+    for beta in cases:
+        for twin in (
+            copy.copy(beta),
+            copy.deepcopy(beta),
+            pickle.loads(pickle.dumps(beta)),
+        ):
+            assert type(twin) is PlanePartition
+            assert twin == beta and hash(twin) == hash(beta)
+            with pytest.raises(AttributeError):
+                twin.rows = ()
 
 
 def test_profile_round_trip_with_infinite_pillars():

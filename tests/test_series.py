@@ -24,6 +24,7 @@ from schubert_arcs import (
 from schubert_arcs import PlanePartition
 from schubert_arcs.plane_partitions import parse_plane_partition
 from schubert_arcs.series import (
+    _check_big_cell,
     big_cell_arc,
     format_arc_matrix,
     format_series,
@@ -33,7 +34,15 @@ from schubert_arcs.series import (
     series_det,
 )
 
-from oracles import naive_alpha, perm_det, random_plane_partition, shapes_up_to
+from oracles import (
+    borel_translate_by_series_det,
+    check_big_cell_by_series_det,
+    column_slice,
+    naive_alpha,
+    perm_det,
+    random_plane_partition,
+    shapes_up_to,
+)
 
 G24 = GrassmannShape(2, 4)
 
@@ -109,7 +118,7 @@ def test_matrix_normalizes_precision():
     m = SeriesMatrix([[parse_series("t", 3), parse_series("1", 9)]])
     assert m.precision == 3
     assert m.nrows == 1 and m.ncols == 2
-    assert m.column_slice(1).ncols == 1
+    assert column_slice(m, 1).ncols == 1
     assert m.constant_term() == [[0, 1]]
     with pytest.raises(ValueError):
         SeriesMatrix([])
@@ -239,6 +248,86 @@ def test_borel_translate_preserves_profiles():
         assert invariant_factor_profile(
             borel_translate(generic, seed=seed)
         ) == parse_plane_partition("2 2; 2 1", G24)
+
+
+def _outcome(call, *args, **kwargs):
+    """The returned value, or the type and message of the raised error."""
+    try:
+        return call(*args, **kwargs)
+    except (NotAnArc, NotInBigCell) as exc:
+        return type(exc), str(exc)
+
+
+def _seeded_arcs(rng):
+    """Arcs on G(2,4) .. G(4,8): generic arcs, the same with shuffled columns
+    (often out of the big cell), sparse random matrices with small integer
+    and half-integer coefficients, and matrices whose constant term has
+    rank k-1 (not arcs at all)."""
+    coefficients = [0, 0, 0, 1, -1, 2, Fraction(1, 2)]
+    for k, n in [(2, 4), (2, 5), (3, 5), (3, 6), (4, 7), (4, 8)]:
+        shape = GrassmannShape(k, n)
+        for _ in range(4):
+            beta = random_plane_partition(shape, 2, rng)
+            arc = generic_arc(beta, precision=10, seed=rng.randrange(10**6))
+            yield arc
+            perm = rng.sample(range(n), n)
+            yield SeriesMatrix([[row[p] for p in perm] for row in arc.entries])
+            yield SeriesMatrix(
+                [
+                    [TruncatedSeries([rng.choice(coefficients) for _ in range(5)]) for _ in range(n)]
+                    for _ in range(k)
+                ]
+            )
+            left = [[rng.randint(-2, 2) for _ in range(k - 1)] for _ in range(k)]
+            right = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k - 1)]
+            yield SeriesMatrix(
+                [
+                    [
+                        TruncatedSeries(
+                            [sum(left[i][u] * right[u][j] for u in range(k - 1))]
+                            + [rng.choice(coefficients) for _ in range(4)]
+                        )
+                        for j in range(n)
+                    ]
+                    for i in range(k)
+                ]
+            )
+
+
+def test_big_cell_checks_agree_with_series_determinants():
+    """The constant-term checks decide, and translate, exactly as the series
+    determinants they replaced."""
+    checks, translates = set(), set()
+    for arc in _seeded_arcs(random.Random(59)):
+        got = _outcome(_check_big_cell, arc)
+        assert got == _outcome(check_big_cell_by_series_det, arc)
+        checks.add(got if got is None else got[0])
+        for seed in (0, 1):
+            moved = _outcome(borel_translate, arc, seed=seed)
+            assert moved == _outcome(borel_translate_by_series_det, arc, seed=seed)
+            translates.add(type(moved))
+    assert checks == {None, NotAnArc, NotInBigCell}
+    # arcs translate; matrices of rank-deficient constant term raise NotAnArc
+    assert translates == {SeriesMatrix, tuple}
+
+
+def test_parsed_integral_coefficients_are_ints():
+    s = parse_series("2*t+1/2", 3)
+    assert s.coeffs == (Fraction(1, 2), 2, 0, 0)
+    assert [type(c) for c in s.coeffs] == [Fraction, int, int, int]
+    # integral sums of fractions and exact quotients are ints too
+    assert [type(c) for c in parse_series("1/2*t+1/2*t+4/2", 2).coeffs] == [int] * 3
+    arc = parse_arc_matrix("t^2+t^3, t^2, 0, 1; t^2, t, 1, 0", 6)
+    assert all(type(c) is int for row in arc.entries for e in row for c in e.coeffs)
+
+
+def test_coefficients_are_kept_as_computed():
+    halves = TruncatedSeries([Fraction(1, 2), Fraction(3, 2)])
+    doubled = halves * 2
+    assert doubled == TruncatedSeries([1, 3]) and hash(doubled) == hash(TruncatedSeries([1, 3]))
+    assert doubled.coeffs == (1, 3) and type(doubled.coeffs[0]) is Fraction
+    assert format_series(halves) == "1/2+3/2*t"
+    assert format_series(TruncatedSeries([Fraction(-4, 2), 0, Fraction(-1, 3)])) == "-2-1/3*t^2"
 
 
 def test_arc_matrix_text_round_trip():
