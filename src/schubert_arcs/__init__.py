@@ -33,7 +33,7 @@ _EXPORTS = {
         "plateaux", "weight_exponents",
     ),
     "series": (
-        "NotAnArc", "NotInBigCell", "OrderValue", "SeriesMatrix", "TruncatedSeries",
+        "NotAnArc", "NotInBigCell", "SeriesMatrix", "TruncatedSeries",
         "borel_translate", "invariant_factor_profile", "is_generic_form",
         "plucker_order_of_arc",
     ),

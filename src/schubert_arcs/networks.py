@@ -130,16 +130,24 @@ def gamma0(shape: GrassmannShape) -> PlanarNetwork:
     return PlanarNetwork(shape)
 
 
-def _edge_for_position(shape: GrassmannShape, i: int, j: int):
-    """Where the (i, j) essential weight sits: on the vertex when the box
-    below-right of (i, j) is square, on the incoming horizontal edge when it
-    is wider than tall, on the outgoing vertical edge when taller than wide."""
-    below, right = shape.k - i, shape.cols - j
-    if below == right:
-        return ("vertex", (i, j))
-    if below < right:
-        return ("edge", ((i, j + 1), (i, j)))
-    return ("edge", ((i, j), (i + 1, j)))
+def _placement(shape: GrassmannShape, matrix):
+    """Vertex and edge dicts holding entry (i, j) of a k x (n-k) matrix at
+    its essential position: on the vertex (i, j) when the box below-right
+    of (i, j) is square, on the incoming horizontal edge when it is wider
+    than tall, on the outgoing vertical edge when taller than wide."""
+    vertex: dict = {}
+    edge: dict = {}
+    for i in range(1, shape.k + 1):
+        for j in range(1, shape.cols + 1):
+            below, right = shape.k - i, shape.cols - j
+            w = matrix[i - 1][j - 1]
+            if below == right:
+                vertex[(i, j)] = w
+            elif below < right:
+                edge[((i, j + 1), (i, j))] = w
+            else:
+                edge[((i, j), (i + 1, j))] = w
+    return vertex, edge
 
 
 class EssentialWeighting:
@@ -154,16 +162,7 @@ class EssentialWeighting:
         if len(w_matrix) != shape.k or any(len(row) != shape.cols for row in w_matrix):
             raise ValueError(f"expected a {shape.k} x {shape.cols} weight matrix")
         self.shape = shape
-        self.vertex_weights: dict = {}
-        self.edge_weights: dict = {}
-        for i in range(1, shape.k + 1):
-            for j in range(1, shape.cols + 1):
-                kind, where = _edge_for_position(shape, i, j)
-                w = w_matrix[i - 1][j - 1]
-                if kind == "vertex":
-                    self.vertex_weights[where] = w
-                else:
-                    self.edge_weights[where] = w
+        self.vertex_weights, self.edge_weights = _placement(shape, w_matrix)
         if extra_edges:
             self.edge_weights.update(extra_edges)
         some = next(iter(self.vertex_weights.values()), None) or next(
@@ -250,21 +249,6 @@ def lindstrom_minor(
     return acc
 
 
-def _tropical_placement(beta: PlanePartition):
-    exps = weight_exponents(beta)
-    vertex: dict = {}
-    edge: dict = {}
-    for i in range(1, beta.shape.k + 1):
-        for j in range(1, beta.shape.cols + 1):
-            kind, where = _edge_for_position(beta.shape, i, j)
-            e = exps[i - 1][j - 1]
-            if kind == "vertex":
-                vertex[where] = e
-            else:
-                edge[where] = e
-    return vertex, edge
-
-
 def _least_family_total(network: PlanarNetwork, sources, sinks, vertex, edge) -> ExtNat:
     """Minimum over the vertex-disjoint path families of the summed
     exponents of a placement (vertex and edge dicts)."""
@@ -296,7 +280,7 @@ def tropical_minor_order(beta: PlanePartition, sources, sinks) -> ExtNat:
     sources, sinks = tuple(sources), tuple(sinks)
     if not sources and not sinks:
         return 0
-    vertex, edge = _tropical_placement(beta)
+    vertex, edge = _placement(beta.shape, weight_exponents(beta))
     return _least_family_total(gamma0(beta.shape), sources, sinks, vertex, edge)
 
 
@@ -319,7 +303,7 @@ def _plucker_orders(beta: PlanePartition):
     Lazy, so a caller that stops early evaluates no further minor.
     """
     shape = beta.shape
-    vertex, edge = _tropical_placement(beta)
+    vertex, edge = _placement(shape, weight_exponents(beta))
     network = gamma0(shape)
     for entries in combinations(range(1, shape.n + 1), shape.k):
         rows, cols = minor_of_multi_index(entries, shape)

@@ -19,7 +19,7 @@ class GrassmannShape:
     __slots__ = ("k", "n")
 
     def __init__(self, k: int, n: int):
-        if not (isinstance(k, int) and isinstance(n, int)):
+        if type(k) is not int or type(n) is not int:
             raise ValueError("shape parameters must be integers")
         if not 1 <= k < n:
             raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
@@ -51,14 +51,19 @@ class GrassmannShape:
 class Partition:
     """A partition whose diagram fits in the box of ``shape``.
 
-    Parts are stored weakly decreasing with trailing zeros stripped, so the
-    empty partition has ``parts == ()``.
+    Parts are ints, weakly decreasing; trailing zeros are stripped, so the
+    empty partition has ``parts == ()``, and a zero before a positive part
+    is rejected.
     """
 
     __slots__ = ("parts", "shape")
 
     def __init__(self, parts, shape: GrassmannShape):
-        cleaned = tuple(int(p) for p in parts if p != 0)
+        cleaned = tuple(parts)
+        if any(type(p) is not int for p in cleaned):
+            raise ValueError(f"parts must be integers: {parts!r}")
+        while cleaned and not cleaned[-1]:
+            cleaned = cleaned[:-1]
         if any(p < 0 for p in cleaned):
             raise ValueError(f"negative part in {parts!r}")
         if any(cleaned[i] < cleaned[i + 1] for i in range(len(cleaned) - 1)):

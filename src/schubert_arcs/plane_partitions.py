@@ -383,21 +383,23 @@ def plateaux(beta: PlanePartition) -> list[tuple[tuple[int, int], ExtNat, ExtNat
     the corner itself excepted, share one value h.  At (1, 1) that region
     is empty and h = inf.  The fall is h minus the corner entry; when h is
     infinite the fall is 0 on an infinite corner and inf otherwise.
+
+    Entries decrease weakly, so the region's largest entry is the one at
+    (1, 1) and its smallest is at (a-1, b) or (a, b-1): the region is
+    constant exactly when those agree.
     """
     k, c = beta.shape.k, beta.shape.cols
+    top = beta.rows[0][0]
     found = []
     for a in range(1, k + 1):
         for b in range(1, c + 1):
-            region = {
-                beta.at(i, j)
-                for i in range(1, a + 1)
-                for j in range(1, b + 1)
-                if (i, j) != (a, b)
-            }
-            if len(region) > 1:
-                continue
-            h: ExtNat = region.pop() if region else INF
             corner = beta.at(a, b)
+            if (a, b) == (1, 1):
+                h: ExtNat = INF
+            elif min(beta.at(i, j) for i, j in ((a - 1, b), (a, b - 1)) if i and j) == top:
+                h = top
+            else:
+                continue
             if isinstance(h, Infinity):
                 fall: ExtNat = 0 if isinstance(corner, Infinity) else INF
             else:

@@ -4,8 +4,9 @@ An arc on the Grassmannian is represented by a k x n matrix of power series
 truncated at a fixed precision: coefficients of t^0 through t^m are stored
 exactly as integers or Fractions.  Sums and products of exact inputs have
 exact coefficients in that range, so any vanishing order at most m is
-certain; beyond the window only the lower bound "order >= m+1" survives,
-and :class:`OrderValue` keeps the two cases apart.
+certain; beyond the window only the lower bound "order >= m+1" survives.
+Orders are plain ints: a value at most m is exact, and m+1 is that lower
+bound.
 
 The central computation is :func:`invariant_factor_profile`: the plane
 partition recording, for every rectangle Schubert condition, the contact
@@ -21,9 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .partitions import GrassmannShape, final_multi_index
-from .plane_partitions import (
-    Infinity, PlanePartition, PrecisionExceeded, essential_profile, from_essential,
-)
+from .plane_partitions import PlanePartition, PrecisionExceeded, essential_profile, from_essential
 
 
 class NotAnArc(ValueError):
@@ -36,82 +35,6 @@ class NotInBigCell(ValueError):
     Apply :func:`borel_translate` first; contact profiles are invariant
     under that change of coordinates.
     """
-
-
-class OrderValue:
-    """Vanishing order of a truncated series: exact, a lower bound, or infinite.
-
-    Infinite orders arise only structurally (an identically zero minor),
-    never from truncated data.
-    """
-
-    __slots__ = ("kind", "value")
-
-    def __init__(self, kind: str, value: int | None):
-        self.kind = kind
-        self.value = value
-
-    @classmethod
-    def of(cls, e: int) -> "OrderValue":
-        return cls("exact", e)
-
-    @classmethod
-    def at_least(cls, bound: int) -> "OrderValue":
-        return cls("at_least", bound)
-
-    @classmethod
-    def infinite(cls) -> "OrderValue":
-        return cls("infinite", None)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "exact"
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.kind == "infinite"
-
-    def __add__(self, other: "OrderValue") -> "OrderValue":
-        if self.is_infinite or other.is_infinite:
-            return OrderValue.infinite()
-        total = self.value + other.value
-        if self.is_exact and other.is_exact:
-            return OrderValue.of(total)
-        return OrderValue.at_least(total)
-
-    def min_with(self, other: "OrderValue") -> "OrderValue":
-        """Order of a sum of ideals: the smaller order wins; a lower bound
-        only survives when it cannot be beaten by the exact competitor."""
-        if self.is_infinite:
-            return other
-        if other.is_infinite:
-            return self
-        if self.is_exact and other.is_exact:
-            return self if self.value <= other.value else other
-        if self.is_exact:
-            return self if self.value <= other.value else OrderValue.at_least(other.value)
-        if other.is_exact:
-            return other if other.value <= self.value else OrderValue.at_least(self.value)
-        return OrderValue.at_least(min(self.value, other.value))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, OrderValue):
-            return self.kind == other.kind and self.value == other.value
-        if isinstance(other, int):
-            return self.is_exact and self.value == other
-        if isinstance(other, Infinity):
-            return self.is_infinite
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.value))
-
-    def __repr__(self) -> str:
-        if self.is_infinite:
-            return "inf"
-        if self.is_exact:
-            return str(self.value)
-        return f">={self.value}"
 
 
 class TruncatedSeries:
@@ -204,11 +127,14 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def order(self) -> OrderValue:
+    def order(self) -> int:
+        """Index of the first nonzero coefficient, exact when at most the
+        precision; ``precision + 1`` when every known coefficient vanishes,
+        which only bounds the true order from below."""
         for i, c in enumerate(self.coeffs):
             if c:
-                return OrderValue.of(i)
-        return OrderValue.at_least(self.precision + 1)
+                return i
+        return self.precision + 1
 
     @property
     def is_unit(self) -> bool:
@@ -295,11 +221,6 @@ def series_det(matrix: SeriesMatrix, rows, cols) -> TruncatedSeries:
     return dp[(1 << s) - 1]
 
 
-def minor_order(matrix: SeriesMatrix, rows, cols) -> OrderValue:
-    """Vanishing order of the [rows|cols]-minor (0-based indices)."""
-    return series_det(matrix, rows, cols).order()
-
-
 def _rank_of_constant_term(const) -> int:
     """Rank over Q of a matrix of constant terms, by Gauss-Jordan elimination."""
     rows = [[Fraction(c) for c in row] for row in const]
@@ -357,26 +278,26 @@ def invariant_factor_profile(arc: SeriesMatrix) -> PlanePartition:
     for a in range(1, k + 1):
         s = k + 1 - a
         row = []
-        best = OrderValue.infinite()
+        # every minor shares the arc's precision, so a lower bound is always
+        # precision + 1 and loses to any exact order
+        best = arc.precision + 1
         for rows in combinations(range(k), s):
-            best = best.min_with(minor_order(arc, rows, range(s)))
+            best = min(best, series_det(arc, rows, range(s)).order())
             if best == 0:
                 break
         for b in range(1, c + 1):
-            if b > 1 and not (best.is_exact and best.value == 0):
+            if b > 1 and best:
                 new_col = k - a + b - 1
                 for rows in combinations(range(k), s):
                     for old in combinations(range(new_col), s - 1):
-                        best = best.min_with(
-                            minor_order(arc, rows, old + (new_col,))
-                        )
+                        best = min(best, series_det(arc, rows, old + (new_col,)).order())
                         if best == 0:
                             break
                     if best == 0:
                         break
-            if best.kind == "at_least":
-                raise PrecisionExceeded((a, b), best.value)
-            row.append(best.value)
+            if best > arc.precision:
+                raise PrecisionExceeded((a, b), best)
+            row.append(best)
         alpha.append(row)
     try:
         return from_essential(alpha, shape)
@@ -384,14 +305,16 @@ def invariant_factor_profile(arc: SeriesMatrix) -> PlanePartition:
         raise RuntimeError(f"internal: profile assembly failed ({exc})") from exc
 
 
-def plucker_order_of_arc(arc: SeriesMatrix, entries) -> OrderValue:
-    """Vanishing order of the Pluecker coordinate of a 1-based multi-index."""
+def plucker_order_of_arc(arc: SeriesMatrix, entries) -> int:
+    """Vanishing order of the Pluecker coordinate of a 1-based multi-index,
+    as :meth:`TruncatedSeries.order` gives it: ``arc.precision + 1`` is only
+    a lower bound."""
     k, n = arc.nrows, arc.ncols
     GrassmannShape(k, n)
     cols = tuple(int(e) - 1 for e in entries)
     if len(cols) != k or any(not 0 <= c < n for c in cols):
         raise ValueError(f"not a multi-index for a {k} x {n} arc: {entries!r}")
-    return minor_order(arc, range(k), cols)
+    return series_det(arc, range(k), cols).order()
 
 
 def is_generic_form(arc: SeriesMatrix, beta: PlanePartition) -> bool:
@@ -410,11 +333,11 @@ def is_generic_form(arc: SeriesMatrix, beta: PlanePartition) -> bool:
         for b in range(1, shape.cols + 1):
             target = alpha[a - 1][b - 1]
             got = plucker_order_of_arc(arc, final_multi_index(shape, a, b))
-            if got.is_exact:
-                if got.value != target:
+            if got <= arc.precision:
+                if got != target:
                     return False
-            elif target >= got.value:
-                raise PrecisionExceeded((a, b), got.value)
+            elif target >= got:
+                raise PrecisionExceeded((a, b), got)
             else:
                 return False
     return True

@@ -4,8 +4,9 @@ Everything here deliberately avoids the code path it checks: determinants
 are expanded over permutations, linear programs are solved by enumerating
 basic solutions or by brute-force search over integer plane partitions,
 singular loci are read off torus fixed points, the Pluecker orders of
-G(2, 4) come from their closed forms, and big-cell membership is decided
-by series determinants rather than by constant terms.
+G(2, 4) come from their closed forms, big-cell membership is decided
+by series determinants rather than by constant terms, and plateau corners
+by scanning whole regions.
 """
 
 import random
@@ -13,11 +14,11 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from schubert_arcs import (
+    INF,
     GrassmannShape,
     Infinity,
     NotAnArc,
     NotInBigCell,
-    OrderValue,
     PlanePartition,
     SeriesMatrix,
     TruncatedSeries,
@@ -61,7 +62,8 @@ def naive_alpha(arc):
     """Rectangle contact orders of an arc, recomputed exhaustively.
 
     Entry (a, b) is the smallest vanishing order among the minors of size
-    k+1-a inside the first k-a+b columns of the full k x n matrix.
+    k+1-a inside the first k-a+b columns of the full k x n matrix; an entry
+    above the precision is the lower bound precision + 1.
     """
     k = arc.nrows
     c = arc.ncols - k
@@ -71,11 +73,13 @@ def naive_alpha(arc):
         row = []
         for b in range(1, c + 1):
             ncols = k - a + b
-            best = OrderValue.infinite()
-            for rr in combinations(range(k), size):
-                for cc in combinations(range(ncols), size):
-                    best = best.min_with(perm_det(arc, rr, cc).order())
-            row.append(best)
+            row.append(
+                min(
+                    perm_det(arc, rr, cc).order()
+                    for rr in combinations(range(k), size)
+                    for cc in combinations(range(ncols), size)
+                )
+            )
         grid.append(tuple(row))
     return tuple(grid)
 
@@ -315,6 +319,34 @@ def sv_extremal_points(shape):
 def distinct_floor_count(beta):
     """Number of distinct floors of a finite plane partition."""
     return len(set(floors(beta)))
+
+
+# -- Plateaux by scanning whole regions ------------------------------------------
+
+
+def plateaux_by_regions(beta):
+    """plateaux, with each northwest region collected in full and tested
+    for a single value."""
+    k, c = beta.shape.k, beta.shape.cols
+    found = []
+    for a in range(1, k + 1):
+        for b in range(1, c + 1):
+            region = {
+                beta.at(i, j)
+                for i in range(1, a + 1)
+                for j in range(1, b + 1)
+                if (i, j) != (a, b)
+            }
+            if len(region) > 1:
+                continue
+            h = region.pop() if region else INF
+            corner = beta.at(a, b)
+            if isinstance(h, Infinity):
+                fall = 0 if isinstance(corner, Infinity) else INF
+            else:
+                fall = h - corner
+            found.append(((a, b), h, fall))
+    return found
 
 
 # -- Closed forms on G(2, 4) ----------------------------------------------------

@@ -240,6 +240,13 @@ def test_invalid_input_exits_2():
     assert code == 2
     code, _, err = run(["order", "--k", "2", "--n", "4", "--beta", "1 2; 1 0", "--lambda", "1"])
     assert code == 2
+    code, out, err = run(["lct", "--k", "3", "--n", "6", "--lambda", "2,0,1"])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "not weakly decreasing" in err
+    # trailing zeros are only padding
+    assert run(["lct", "--k", "3", "--n", "6", "--lambda", "2,1,0"]) == run(
+        ["lct", "--k", "3", "--n", "6", "--lambda", "2,1"]
+    )
 
 
 def test_argparse_failures_exit_2():

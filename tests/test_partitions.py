@@ -47,6 +47,9 @@ def test_shape_rejects_degenerate_box():
     with pytest.raises(ValueError):
         GrassmannShape(4, 4)
     assert GrassmannShape(3, 7).cols == 4
+    for k, n in [(True, 4), (1, True), (2.0, 4)]:
+        with pytest.raises(ValueError, match="shape parameters must be integers"):
+            GrassmannShape(k, n)
 
 
 def test_shape_is_an_immutable_value():
@@ -85,6 +88,19 @@ def test_partition_must_fit_and_decrease():
     with pytest.raises(ValueError):
         Partition((1, 1, 1), G24)
     assert Partition((2, 0, 0), G36).parts == (2,)
+    assert Partition((0, 0), G36).parts == ()
+    # a zero before a positive part breaks the order; only trailing zeros go
+    for parts in [(2, 0, 1), (0, 0, 3), (0, 1), (1, 0, 1)]:
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            Partition(parts, G36)
+    for parts in [(2, 1.5), (2, -0.5), (2.0,), (True,), (2, False), ("2",)]:
+        with pytest.raises(ValueError, match="parts must be integers"):
+            Partition(parts, G36)
+    with pytest.raises(ValueError, match="negative part"):
+        Partition((2, -1), G36)
+    with pytest.raises(ValueError):
+        parse_partition("2,0,1", G36)
+    assert parse_partition("2,1,0", G36).parts == (2, 1)
 
 
 def test_partition_cells_and_containment():
@@ -240,7 +256,7 @@ def test_rectangle_ideal_minors_shape():
 def test_rectangle_ideal_minors_realize_contact_orders():
     """The smallest order among the ideal's minors of the affine block is
     the rectangle contact order of the arc."""
-    from schubert_arcs import OrderValue, essential_profile, invariant_factor_profile
+    from schubert_arcs import essential_profile, invariant_factor_profile
     from schubert_arcs.series import parse_arc_matrix, series_det
 
     arc = parse_arc_matrix("t^2,0,0,1; 0,t,1,0", 8)
@@ -248,12 +264,10 @@ def test_rectangle_ideal_minors_realize_contact_orders():
     alpha = essential_profile(invariant_factor_profile(arc))
     for a in range(1, 3):
         for b in range(1, 3):
-            best = OrderValue.infinite()
-            for rows, cols in rectangle_ideal_minors(G24, a, b):
-                order = series_det(
-                    affine, [r - 1 for r in rows], [c - 1 for c in cols]
-                ).order()
-                best = best.min_with(order)
+            best = min(
+                series_det(affine, [r - 1 for r in rows], [c - 1 for c in cols]).order()
+                for rows, cols in rectangle_ideal_minors(G24, a, b)
+            )
             assert best == alpha[a - 1][b - 1], (a, b)
 
 

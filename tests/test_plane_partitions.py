@@ -33,7 +33,12 @@ from schubert_arcs.plane_partitions import (
     parse_plane_partition,
 )
 
-from oracles import grown_plane_partition, random_plane_partition, shapes_up_to
+from oracles import (
+    grown_plane_partition,
+    plateaux_by_regions,
+    random_plane_partition,
+    shapes_up_to,
+)
 
 G24 = GrassmannShape(2, 4)
 G36 = GrassmannShape(3, 6)
@@ -283,6 +288,24 @@ def test_plateaux_region_is_constant():
             assert region in ({h}, set())
             if not isinstance(h, Infinity):
                 assert fall == h - beta.at(a, b)
+
+
+def test_plateaux_match_the_region_scan():
+    """Every plane partition of bounded height in every box of at most
+    4 x 4, and each again with its top value raised to an infinite pillar."""
+    checked = 0
+    for shape in shapes_up_to(8):
+        if shape.k > 4 or shape.cols > 4:
+            continue
+        height = 3 if shape.k * shape.cols <= 9 else 2
+        for beta in all_plane_partitions(shape, height):
+            pillar = PlanePartition(
+                [[INF if e == height else e for e in row] for row in beta.rows], shape
+            )
+            for candidate in (beta, pillar):
+                assert plateaux(candidate) == plateaux_by_regions(candidate), candidate
+                checked += 1
+    assert checked > 8000
 
 
 def test_enumeration_counts():
