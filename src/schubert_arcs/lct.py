@@ -4,8 +4,10 @@ The Arnold multiplicity of the pair is the maximum of the contact order
 ord(lambda) over the polytope of normalized Schubert valuations, cut to the
 largest subspace where that piecewise-linear function is linear: plane
 R-partitions of volume one whose corner diagonal sums all agree.  This is a
-small exact linear program.  The log canonical threshold is the reciprocal,
-and rectangular shapes have a closed form.
+small exact linear program.  All its rows but the volume row are
+homogeneous, so the origin is a vertex and a one-phase simplex solves it.
+The log canonical threshold is the reciprocal, and rectangular shapes have
+a closed form.
 """
 
 from __future__ import annotations
@@ -26,11 +28,13 @@ def build_lp(lam: Partition) -> RationalLP:
     """Linear program whose optimum is the Arnold multiplicity of lam.
 
     Variables are the entries of a plane R-partition beta, row-major.
-    Constraints: entries weakly decrease along rows and columns (with
-    non-negativity native to the solver), total volume one, and the
-    diagonal sums at consecutive corners of lam agree.  The objective is
-    the diagonal sum at the first corner, which equals ord(lambda) on the
-    equalized locus.
+    Every row has the form coefficients . beta <= rhs: entries weakly
+    decrease along rows and columns (with non-negativity native to the
+    solver), the volume is at most one, and the diagonal sums at
+    consecutive corners of lam agree, each equation written as two
+    opposite rows.  The objective is the diagonal sum at the first corner,
+    which equals ord(lambda) on the equalized locus.  Every row but the
+    volume row is homogeneous, so the volume is one at every optimum.
     """
     if not lam:
         raise ValueError("the pair with the whole Grassmannian has no threshold")
@@ -46,20 +50,21 @@ def build_lp(lam: Partition) -> RationalLP:
                 row = [0] * (k * c)
                 row[_var(shape, i, j)] = -1
                 row[_var(shape, i, j + 1)] = 1
-                lp.add(row, "<=", 0)
+                lp.add(row, 0)
             if i < k:
                 row = [0] * (k * c)
                 row[_var(shape, i, j)] = -1
                 row[_var(shape, i + 1, j)] = 1
-                lp.add(row, "<=", 0)
-    lp.add([1] * (k * c), "=", 1)
+                lp.add(row, 0)
+    lp.add([1] * (k * c), 1)
     for (a, b), (a2, b2) in zip(corners, corners[1:]):
         row = [0] * (k * c)
         for i, j in _diagonal_positions(shape, a, b):
             row[_var(shape, i, j)] += 1
         for i, j in _diagonal_positions(shape, a2, b2):
             row[_var(shape, i, j)] -= 1
-        lp.add(row, "=", 0)
+        lp.add(row, 0)
+        lp.add([-x for x in row], 0)
     return lp
 
 

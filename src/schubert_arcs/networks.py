@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .partitions import GrassmannShape, minor_of_multi_index, partition_from_multi_index
+from .partitions import GrassmannShape, minor_of_multi_index
 from .plane_partitions import ExtNat, PlanePartition, diagonal_sum, weight_exponents
 from .series import PrecisionExceeded, SeriesMatrix, TruncatedSeries, big_cell_arc
 
@@ -31,8 +31,10 @@ class PlanarNetwork:
 
     def __init__(self, shape: GrassmannShape, diagonals=()):
         self.shape = shape
-        self.diagonals = frozenset((int(a), int(b)) for a, b in diagonals)
+        self.diagonals = frozenset((a, b) for a, b in diagonals)
         for a, b in self.diagonals:
+            if type(a) is not int or type(b) is not int:
+                raise ValueError(f"diagonal tag ({a!r}, {b!r}) is not a pair of integers")
             if not (1 <= a <= shape.k and 1 <= b <= shape.cols):
                 raise ValueError(f"diagonal tag ({a}, {b}) outside the box")
         self._path_cache: dict[tuple[int, int], tuple] = {}
@@ -290,7 +292,6 @@ def plucker_ord(beta: PlanePartition, entries) -> ExtNat:
     The multi-index is translated to a minor of the affine matrix of the
     big cell, then evaluated tropically.
     """
-    partition_from_multi_index(entries, beta.shape)
     rows, cols = minor_of_multi_index(entries, beta.shape)
     return tropical_minor_order(beta, rows, cols)
 

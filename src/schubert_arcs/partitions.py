@@ -155,16 +155,25 @@ def partition_from_multi_index(entries, shape: GrassmannShape) -> Partition:
     >>> partition_from_multi_index((2, 3, 6), GrassmannShape(3, 6)).parts
     (3, 1, 1)
     """
-    entries = tuple(int(e) for e in entries)
+    entries = _check_multi_index(entries, shape)
+    parts = [entries[s - 1] - s for s in range(shape.k, 0, -1)]
+    return Partition(parts, shape)
+
+
+def _check_multi_index(entries, shape: GrassmannShape) -> tuple[int, ...]:
+    """The entries as a tuple, once they are k ints strictly increasing in
+    [1, n]; anything else raises ValueError."""
+    entries = tuple(entries)
     k, n = shape.k, shape.n
+    if any(type(e) is not int for e in entries):
+        raise ValueError(f"multi-index entries must be integers: {entries!r}")
     if len(entries) != k:
         raise ValueError(f"multi-index must have k={k} entries, got {entries!r}")
     if entries[0] < 1 or entries[-1] > n:
         raise ValueError(f"multi-index entries out of range [1, {n}]: {entries!r}")
     if any(entries[s] >= entries[s + 1] for s in range(k - 1)):
         raise ValueError(f"multi-index not strictly increasing: {entries!r}")
-    parts = [entries[s - 1] - s for s in range(k, 0, -1)]
-    return Partition(parts, shape)
+    return entries
 
 
 def multi_index_from_partition(lam: Partition) -> tuple[int, ...]:
@@ -279,14 +288,10 @@ def minor_of_multi_index(entries, shape: GrassmannShape) -> tuple[tuple[int, ...
     constant) corresponds to the multi-index [n-k+1, ..., n].
     """
     k, n = shape.k, shape.n
-    entries = tuple(int(e) for e in entries)
+    entries = _check_multi_index(entries, shape)
     cols = tuple(e for e in entries if e <= n - k)
     dropped = {n + 1 - e for e in entries if e > n - k}
-    if not dropped <= set(range(1, k + 1)):
-        raise ValueError(f"not a valid multi-index for {shape!r}: {entries!r}")
     rows = tuple(i for i in range(1, k + 1) if i not in dropped)
-    if len(rows) != len(cols):
-        raise ValueError(f"not a valid multi-index for {shape!r}: {entries!r}")
     return rows, cols
 
 
@@ -296,10 +301,12 @@ def multi_index_of_minor(rows, cols, shape: GrassmannShape) -> tuple[int, ...]:
     rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols):
         raise ValueError("minor label needs equally many rows and columns")
+    if any(type(x) is not int for x in rows + cols):
+        raise ValueError(f"minor label entries must be integers: {rows}, {cols}")
     if any(not 1 <= i <= k for i in rows) or any(not 1 <= j <= n - k for j in cols):
         raise ValueError(f"minor label out of range for {shape!r}: {rows}, {cols}")
     complement = (n + 1 - i for i in range(1, k + 1) if i not in set(rows))
-    return tuple(sorted(cols)) + tuple(sorted(complement))
+    return _check_multi_index(tuple(sorted(cols)) + tuple(sorted(complement)), shape)
 
 
 def final_minor(shape: GrassmannShape, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -350,8 +357,7 @@ def parse_multi_index(text: str, shape: GrassmannShape) -> tuple[int, ...]:
         entries = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse multi-index from {text!r}") from None
-    partition_from_multi_index(entries, shape)
-    return entries
+    return _check_multi_index(entries, shape)
 
 
 def format_multi_index(entries) -> str:

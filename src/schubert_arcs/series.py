@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 from itertools import combinations
 
-from .partitions import GrassmannShape, final_multi_index
+from .partitions import GrassmannShape, _check_multi_index, final_multi_index
 from .plane_partitions import PlanePartition, PrecisionExceeded, essential_profile, from_essential
 
 
@@ -310,10 +310,7 @@ def plucker_order_of_arc(arc: SeriesMatrix, entries) -> int:
     as :meth:`TruncatedSeries.order` gives it: ``arc.precision + 1`` is only
     a lower bound."""
     k, n = arc.nrows, arc.ncols
-    GrassmannShape(k, n)
-    cols = tuple(int(e) - 1 for e in entries)
-    if len(cols) != k or any(not 0 <= c < n for c in cols):
-        raise ValueError(f"not a multi-index for a {k} x {n} arc: {entries!r}")
+    cols = tuple(e - 1 for e in _check_multi_index(entries, GrassmannShape(k, n)))
     return series_det(arc, range(k), cols).order()
 
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code path it checks: determinants
 are expanded over permutations, linear programs are solved by enumerating
-basic solutions or by brute-force search over integer plane partitions,
+basic solutions, by the general two-phase simplex method on their
+equation form, or by brute-force search over integer plane partitions,
 singular loci are read off torus fixed points, the Pluecker orders of
 G(2, 4) come from their closed forms, big-cell membership is decided
 by series determinants rather than by constant terms, and plateau corners
@@ -12,6 +13,8 @@ by scanning whole regions.
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
+from types import SimpleNamespace
 
 from schubert_arcs import (
     INF,
@@ -26,8 +29,11 @@ from schubert_arcs import (
     all_plane_partitions,
     floors,
 )
-from schubert_arcs.plane_partitions import ord_schubert
+from schubert_arcs.lct import _var
+from schubert_arcs.partitions import schubert_conditions
+from schubert_arcs.plane_partitions import _diagonal_positions, ord_schubert
 from schubert_arcs.series import series_det
+from schubert_arcs.simplex import LPSolution
 
 
 def shapes_up_to(max_n):
@@ -226,6 +232,227 @@ def fixed_point_census(lam):
     return members, singular
 
 
+# -- Linear programs by the two-phase simplex method ----------------------------
+#
+# A general solver: "<=", ">=" and "=" rows, Fraction data and negative
+# right-hand sides, with an artificial column per row.  Solving the
+# equation form of the threshold program, it is the differential oracle of
+# the one-phase solver, which shares no code with it.
+
+
+class TwoPhaseLP:
+    """maximize objective . x  subject to the constraints and x >= 0.
+
+    Each constraint is (coefficients, relation, rhs) with relation one of
+    "<=", ">=", "=".  Coefficients and rhs may be ints or Fractions.
+    """
+
+    def __init__(self, n_vars: int, objective: list, constraints: list | None = None):
+        self.n_vars = n_vars
+        self.objective = objective
+        self.constraints = [] if constraints is None else constraints
+
+    def add(self, coefficients, relation: str, rhs) -> None:
+        if relation not in ("<=", ">=", "="):
+            raise ValueError(f"unknown relation {relation!r}")
+        if len(coefficients) != self.n_vars:
+            raise ValueError("constraint length does not match variable count")
+        self.constraints.append((list(coefficients), relation, rhs))
+
+
+def _scale_to_integers(coefficients, rhs):
+    fracs = [Fraction(c) for c in coefficients] + [Fraction(rhs)]
+    m = lcm(*(f.denominator for f in fracs)) if fracs else 1
+    ints = [int(f * m) for f in fracs]
+    return ints[:-1], ints[-1]
+
+
+class _Tableau:
+    def __init__(self, rows, basis, n_cols):
+        self.rows = rows  # each: list of n_cols coefficients + rhs appended
+        self.basis = basis  # basis[i] = column index basic in row i
+        self.n_cols = n_cols
+        self.obj = [0] * (n_cols + 1)
+        self.d = 1
+
+    def pivot(self, p: int, q: int) -> None:
+        d, piv = self.d, self.rows[p][q]
+        prow = self.rows[p]
+        for r, row in enumerate(self.rows):
+            if r != p:
+                arq = row[q]
+                row[:] = [(piv * a - arq * b) // d for a, b in zip(row, prow)]
+        oq = self.obj[q]
+        self.obj[:] = [(piv * a - oq * b) // d for a, b in zip(self.obj, prow)]
+        self.basis[p] = q
+        self.d = piv
+
+    def run(self, allowed) -> str:
+        """Pivot until optimal or unbounded.  Bland: the entering column is
+        the lowest allowed index with negative objective entry; the leaving
+        row minimizes the ratio, ties to the lowest basic variable."""
+        while True:
+            q = next(
+                (j for j in allowed if self.obj[j] < 0),
+                None,
+            )
+            if q is None:
+                return "optimal"
+            p = None
+            for i, row in enumerate(self.rows):
+                if row[q] <= 0:
+                    continue
+                if p is None:
+                    p = i
+                    continue
+                lhs = self.rows[p][-1] * row[q]
+                rhs = row[-1] * self.rows[p][q]
+                if rhs < lhs or (rhs == lhs and self.basis[i] < self.basis[p]):
+                    p = i
+            if p is None:
+                return "unbounded"
+            self.pivot(p, q)
+
+
+def two_phase_max(lp):
+    """Solve the LP exactly.  Returns status "optimal" with the value and
+    one optimal vertex, or "infeasible", or "unbounded"."""
+    if len(lp.objective) != lp.n_vars:
+        raise ValueError("objective length does not match variable count")
+    n = lp.n_vars
+    slack_count = sum(1 for _, rel, _ in lp.constraints if rel != "=")
+    n_cols = n + slack_count + len(lp.constraints)
+    art_start = n + slack_count
+
+    rows, basis = [], []
+    slack_at = n
+    for idx, (coeffs, rel, rhs) in enumerate(lp.constraints):
+        ints, b = _scale_to_integers(coeffs, rhs)
+        if rel == ">=":
+            ints, b, rel = [-c for c in ints], -b, "<="
+        if b < 0:
+            ints, b = [-c for c in ints], -b
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        row = ints + [0] * (n_cols - n) + [b]
+        if rel == "<=":
+            row[slack_at] = 1
+            basis.append(slack_at)
+            slack_at += 1
+        elif rel == ">=":
+            row[slack_at] = -1
+            slack_at += 1
+            row[art_start + idx] = 1
+            basis.append(art_start + idx)
+        else:
+            row[art_start + idx] = 1
+            basis.append(art_start + idx)
+        rows.append(row)
+
+    t = _Tableau(rows, basis, n_cols)
+    artificial = set(range(art_start, n_cols))
+    structural = [j for j in range(n_cols) if j not in artificial]
+
+    if any(b in artificial for b in t.basis):
+        # phase 1: maximize minus the sum of artificials, starting objective
+        # row already reduced over the artificial basis
+        t.obj = [0] * (n_cols + 1)
+        for j in artificial:
+            t.obj[j] = 1
+        for i, b in enumerate(t.basis):
+            if b in artificial:
+                t.obj = [a - r for a, r in zip(t.obj, t.rows[i])]
+        status = t.run(structural)
+        assert status == "optimal", "phase 1 is bounded by construction"
+        if t.obj[-1] != 0:
+            return LPSolution("infeasible")
+        _expel_artificials(t, artificial)
+
+    # phase 2: the real objective, reduced over the current basis
+    c_scale = lcm(*(Fraction(c).denominator for c in lp.objective)) if n else 1
+    c_int = [int(Fraction(c) * c_scale) for c in lp.objective]
+    obj = [0] * (n_cols + 1)
+    for j in range(n):
+        obj[j] = -t.d * c_int[j]
+    for i, b in enumerate(t.basis):
+        if b < n and c_int[b]:
+            obj = [a + c_int[b] * r for a, r in zip(obj, t.rows[i])]
+    t.obj = obj
+    status = t.run(structural)
+    if status == "unbounded":
+        return LPSolution("unbounded")
+
+    x = [Fraction(0)] * n
+    for i, b in enumerate(t.basis):
+        if b < n:
+            x[b] = Fraction(t.rows[i][-1], t.d)
+    value = Fraction(t.obj[-1], t.d * c_scale)
+    return LPSolution("optimal", value, tuple(x))
+
+
+def _expel_artificials(t: _Tableau, artificial) -> None:
+    """Pivot zero-level artificials out of the basis; drop rows that turn
+    out to be redundant equations."""
+    keep = []
+    for i in range(len(t.rows)):
+        if t.basis[i] not in artificial:
+            keep.append(i)
+            continue
+        q = next(
+            (j for j in range(t.n_cols) if j not in artificial and t.rows[i][j] != 0),
+            None,
+        )
+        if q is None:
+            continue  # all-zero row: redundant constraint
+        if t.rows[i][q] < 0:
+            t.rows[i] = [-a for a in t.rows[i]]
+        t.pivot(i, q)
+        keep.append(i)
+    if len(keep) < len(t.rows):
+        t.rows = [t.rows[i] for i in keep]
+        t.basis = [t.basis[i] for i in keep]
+
+
+def equation_form_lp(lam):
+    """Linear program whose optimum is the Arnold multiplicity of lam.
+
+    Variables are the entries of a plane R-partition beta, row-major.
+    Constraints: entries weakly decrease along rows and columns (with
+    non-negativity native to the solver), total volume one, and the
+    diagonal sums at consecutive corners of lam agree.  The objective is
+    the diagonal sum at the first corner, which equals ord(lambda) on the
+    equalized locus.
+    """
+    if not lam:
+        raise ValueError("the pair with the whole Grassmannian has no threshold")
+    shape = lam.shape
+    k, c = shape.k, shape.cols
+    lp = TwoPhaseLP(k * c, [0] * (k * c))
+    corners = schubert_conditions(lam)
+    for i, j in _diagonal_positions(shape, *corners[0]):
+        lp.objective[_var(shape, i, j)] = 1
+    for i in range(1, k + 1):
+        for j in range(1, c + 1):
+            if j < c:
+                row = [0] * (k * c)
+                row[_var(shape, i, j)] = -1
+                row[_var(shape, i, j + 1)] = 1
+                lp.add(row, "<=", 0)
+            if i < k:
+                row = [0] * (k * c)
+                row[_var(shape, i, j)] = -1
+                row[_var(shape, i + 1, j)] = 1
+                lp.add(row, "<=", 0)
+    lp.add([1] * (k * c), "=", 1)
+    for (a, b), (a2, b2) in zip(corners, corners[1:]):
+        row = [0] * (k * c)
+        for i, j in _diagonal_positions(shape, a, b):
+            row[_var(shape, i, j)] += 1
+        for i, j in _diagonal_positions(shape, a2, b2):
+            row[_var(shape, i, j)] -= 1
+        lp.add(row, "=", 0)
+    return lp
+
+
 # -- Linear programs by basic-solution enumeration -----------------------------
 
 
@@ -247,35 +474,43 @@ def solve_square(rows, rhs):
     return [aug[r][n] for r in range(n)]
 
 
-def satisfies(lp, point):
+def satisfies(rows, point):
+    """Whether a point is non-negative and meets every (coefficients, rhs)
+    row as coefficients . point <= rhs."""
     if any(x < 0 for x in point):
         return False
+    return all(
+        sum(Fraction(c) * x for c, x in zip(coeffs, point)) <= rhs for coeffs, rhs in rows
+    )
+
+
+def as_leq(lp):
+    """A relation-form program with every row written as coefficients . x
+    <= rhs: a ">=" row negated, an "=" row as two opposite rows."""
+    rows = []
     for coeffs, relation, rhs in lp.constraints:
-        lhs = sum(Fraction(c) * x for c, x in zip(coeffs, point))
-        rhs = Fraction(rhs)
-        if relation == "<=" and lhs > rhs:
-            return False
-        if relation == ">=" and lhs < rhs:
-            return False
-        if relation == "=" and lhs != rhs:
-            return False
-    return True
+        if relation != ">=":
+            rows.append((coeffs, rhs))
+        if relation != "<=":
+            rows.append(([-c for c in coeffs], -rhs))
+    return SimpleNamespace(n_vars=lp.n_vars, objective=lp.objective, constraints=rows)
 
 
 def brute_lp_max(lp):
-    """Best objective value over all feasible basic solutions.
+    """Best objective value over all feasible basic solutions of a program
+    whose rows are (coefficients, rhs) pairs read as coefficients . x <= rhs.
 
     Sound for bounded feasible regions, where the maximum sits at a vertex
     and every vertex solves some square subsystem of tight constraints.
     Returns None when nothing is feasible.
     """
     n = lp.n_vars
-    planes = [(coeffs, rhs) for coeffs, _, rhs in lp.constraints]
+    planes = list(lp.constraints)
     planes += [([int(i == j) for j in range(n)], 0) for i in range(n)]
     best = None
     for chosen in combinations(planes, n):
         point = solve_square([p[0] for p in chosen], [p[1] for p in chosen])
-        if point is None or not satisfies(lp, point):
+        if point is None or not satisfies(lp.constraints, point):
             continue
         value = sum(Fraction(c) * x for c, x in zip(lp.objective, point))
         if best is None or value > best:

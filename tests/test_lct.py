@@ -25,8 +25,10 @@ from oracles import (
     brute_force_arnold,
     brute_lp_max,
     distinct_floor_count,
+    equation_form_lp,
     shapes_up_to,
     sv_extremal_points,
+    two_phase_max,
 )
 
 G24 = GrassmannShape(2, 4)
@@ -38,16 +40,31 @@ def test_build_lp_structure():
     assert lp.n_vars == 15
     assert [i for i, c in enumerate(lp.objective) if c] == [3, 9]
     assert all(c in (0, 1) for c in lp.objective)
-    ineq = [(row, rhs) for row, rel, rhs in lp.constraints if rel == "<="]
-    eq = [(row, rhs) for row, rel, rhs in lp.constraints if rel == "="]
-    assert len(ineq) == 22
-    for row, rhs in ineq:
+    assert all(len(row) == 15 for row, _ in lp.constraints)
+    monotone, volume, corners = lp.constraints[:22], lp.constraints[22], lp.constraints[23:]
+    for row, rhs in monotone:
         assert rhs == 0
         assert sorted(c for c in row if c) == [-1, 1]
-    assert len(eq) == 3
-    assert eq[0] == ([1] * 15, 1)
-    assert eq[1] == ([0, 0, 0, 1, 0, 0, -1, 0, 0, 1, 0, 0, -1, 0, 0], 0)
-    assert eq[2] == ([0, 0, 0, 0, 0, 0, 1, 0, 0, 0, -1, 0, 1, 0, 0], 0)
+    assert volume == ([1] * 15, 1)
+    first = [0, 0, 0, 1, 0, 0, -1, 0, 0, 1, 0, 0, -1, 0, 0]
+    second = [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, -1, 0, 1, 0, 0]
+    assert corners == [
+        (first, 0),
+        ([-c for c in first], 0),
+        (second, 0),
+        ([-c for c in second], 0),
+    ]
+
+
+def test_one_phase_program_matches_two_phase_equation_form():
+    # the equality form solved by the general two-phase method gives the
+    # same status, value and vertex on every nonempty partition with n <= 8
+    count = 0
+    for shape in shapes_up_to(8):
+        for lam in all_partitions(shape):
+            assert solve_max(build_lp(lam)) == two_phase_max(equation_form_lp(lam)), lam
+            count += 1
+    assert count == 466
 
 
 def test_build_lp_rejects_empty():

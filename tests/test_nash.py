@@ -10,10 +10,12 @@ from schubert_arcs import (
     ContainmentVerdict,
     GrassmannShape,
     PlanePartition,
+    all_plane_partitions,
     codim,
     codim_chain,
     compare,
     discrepancy_data,
+    home_center,
     nash_valuations,
     necessary_containment,
     plucker_leq,
@@ -246,3 +248,47 @@ def test_nash_valuations_structure():
                             assert e == 1
                         else:
                             assert e == 0
+
+
+def test_nash_valuations_are_pairwise_incomparable():
+    # injectivity side of the Nash map: no Nash stratum of lam lies in the
+    # closure of another; 68 ordered pairs, each refuted outright
+    pairs = 0
+    for k, n in [(3, 6), (3, 7), (4, 8), (3, 8)]:
+        for lam in all_partitions(GrassmannShape(k, n)):
+            vals = nash_valuations(lam)
+            for nu, nu2 in itertools.permutations(vals, 2):
+                assert compare(nu, nu2).relation == "not-contains", (nu, nu2)
+                pairs += 1
+    assert pairs == 68
+
+
+def test_nash_strata_cover_the_singular_arcs_of_g36():
+    # covering side: a stratum of arcs in X_lam (inf exactly on lam, finite
+    # entries at most 2 elsewhere) whose center contains a singular
+    # component mu is never refuted to lie in the closure of that
+    # component's Nash stratum; most are proved to
+    strata, contained = 0, 0
+    for lam in all_partitions(G36):
+        components = singular_components(lam)
+        nash = dict(zip(components, nash_valuations(lam)))
+        betas = {
+            PlanePartition(
+                [
+                    [INF if lam.has_cell(i, j) else fin.at(i, j) for j in range(1, G36.cols + 1)]
+                    for i in range(1, G36.k + 1)
+                ],
+                G36,
+            )
+            for fin in all_plane_partitions(G36, 2)
+        }
+        for beta in betas:
+            center = home_center(beta)[1]
+            relations = [compare(nash[mu], beta).relation for mu in components if center.contains(mu)]
+            if not relations:
+                continue
+            strata += 1
+            assert "not-contains" not in relations, beta
+            contained += "contains" in relations
+    assert strata == 349
+    assert contained >= 300

@@ -73,6 +73,11 @@ def test_diagonal_tags_validated():
         PlanarNetwork(G24, diagonals=[(3, 1)])
     with pytest.raises(ValueError):
         PlanarNetwork(G24, diagonals=[(1, 0)])
+    # a tag is a pair of ints, never truncated
+    with pytest.raises(ValueError, match="integers"):
+        PlanarNetwork(G24, diagonals=[(1.5, 1.2)])
+    with pytest.raises(ValueError, match="integers"):
+        PlanarNetwork(G24, diagonals=[(True, 1)])
 
 
 def test_families_validated():
@@ -205,6 +210,11 @@ def test_plucker_ord_validates_entries():
         plucker_ord(beta, (2, 2))
     with pytest.raises(ValueError):
         plucker_ord(beta, (0, 1))
+    # entries are ints, never truncated: (True, 3.2) is not [1, 3]
+    with pytest.raises(ValueError, match="integers"):
+        plucker_ord(beta, (True, 3.2))
+    with pytest.raises(ValueError, match="increasing"):
+        plucker_ord(beta, (3, 1))
 
 
 def test_plucker_order_stream_matches_single_coordinates():

@@ -210,6 +210,27 @@ def test_rim_size_rejects_boundary_contact():
         rim_size(Partition((1, 1), G24))
 
 
+def test_multi_indexes_are_checked_not_truncated():
+    # every entry must be an int, never truncated; the index must be sorted,
+    # and a minor label must translate to exactly k entries
+    with pytest.raises(ValueError, match="integers"):
+        partition_from_multi_index((1.9, 3.5), G24)
+    with pytest.raises(ValueError, match="integers"):
+        minor_of_multi_index((1.0, 2.7), G24)
+    with pytest.raises(ValueError, match="integers"):
+        partition_from_multi_index((True, 3), G24)
+    with pytest.raises(ValueError, match="increasing"):
+        minor_of_multi_index((2, 1), G24)
+    with pytest.raises(ValueError, match="k=2"):
+        multi_index_of_minor((1, 1), (1, 2), G24)
+    with pytest.raises(ValueError, match="integers"):
+        multi_index_of_minor((1,), (1.5,), G24)
+    with pytest.raises(ValueError, match="integers"):
+        multi_index_of_minor((1.0,), (1,), G24)
+    assert minor_of_multi_index((1, 3), G24) == ((1,), (1,))
+    assert multi_index_of_minor((1,), (1,), G24) == (1, 3)
+
+
 def test_minor_dictionary_round_trip():
     for shape in shapes_up_to(6):
         for entries in combinations(range(1, shape.n + 1), shape.k):

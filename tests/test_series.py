@@ -236,6 +236,9 @@ def test_plucker_orders_of_generic_arc():
     # the non-generic representative of the same stratum degenerates [1,4]
     special = parse_arc_matrix("t^2,0,0,1; 0,t,1,0", 8)
     assert plucker_order_of_arc(special, (1, 4)) == special.precision + 1 == 9
+    for entries in [(1.5, 4), (True, 4), (4, 1), (1, 2, 3), (0, 4), (1, 5)]:
+        with pytest.raises(ValueError):
+            plucker_order_of_arc(arc, entries)
 
 
 def test_is_generic_form():
