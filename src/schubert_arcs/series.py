@@ -25,6 +25,11 @@ from .partitions import GrassmannShape, _check_multi_index, final_multi_index
 from .plane_partitions import PlanePartition, PrecisionExceeded, essential_profile, from_essential
 
 
+# exact coefficient and scalar types, matched by type() so that a bool does
+# not pass for an int
+_EXACT = (int, Fraction)
+
+
 class NotAnArc(ValueError):
     """The constant term of the matrix has rank below k: no maximal minor is a unit."""
 
@@ -40,12 +45,17 @@ class NotInBigCell(ValueError):
 class TruncatedSeries:
     """A power series known exactly modulo t^(precision+1).
 
-    Coefficients are kept as computed: an integral ``Fraction`` stays a
-    ``Fraction`` (equal, with the same hash, to the ``int``), so a series
-    built from integral Fractions, or a fractional series multiplied into
-    integral values, holds Fractions in ``coeffs``.  :func:`format_series`
-    writes every coefficient in lowest terms, and :func:`parse_series`
-    reads integral coefficients as ints.
+    Coefficients are exact: each is an ``int`` (not a ``bool``) or a
+    ``Fraction``, and anything else raises ``ValueError``.  They are kept as
+    computed: an integral ``Fraction`` stays a ``Fraction`` (equal, with the
+    same hash, to the ``int``), so a series built from integral Fractions,
+    or a fractional series multiplied into integral values, holds Fractions
+    in ``coeffs``.  :func:`format_series` writes every coefficient in lowest
+    terms, and :func:`parse_series` reads integral coefficients as ints.
+
+    Series add, subtract and multiply with series, and multiply with ``int``
+    and ``Fraction`` scalars from either side; any other operand raises
+    ``TypeError``.
     """
 
     __slots__ = ("coeffs",)
@@ -53,13 +63,26 @@ class TruncatedSeries:
     def __init__(self, coeffs, precision: int | None = None):
         coeffs = tuple(coeffs)
         if precision is not None:
+            if precision < 0:
+                raise ValueError(f"negative precision {precision}")
             if len(coeffs) > precision + 1:
                 coeffs = coeffs[: precision + 1]
             else:
                 coeffs += (0,) * (precision + 1 - len(coeffs))
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant coefficient")
+        if any(type(c) not in _EXACT for c in coeffs):
+            raise ValueError(f"series coefficients must be ints or Fractions: {coeffs!r}")
         self.coeffs = coeffs
+
+    @classmethod
+    def _of(cls, coeffs: tuple) -> "TruncatedSeries":
+        """The series on a non-empty tuple of exact coefficients, stored
+        without a copy or a check: arithmetic on checked series builds its
+        results here."""
+        series = object.__new__(cls)
+        series.coeffs = coeffs
+        return series
 
     @property
     def precision(self) -> int:
@@ -88,42 +111,45 @@ class TruncatedSeries:
         return cls(coeffs)
 
     def truncate(self, precision: int) -> "TruncatedSeries":
+        if precision < 0:
+            raise ValueError(f"negative precision {precision}")
         if precision >= self.precision:
             return self
-        return TruncatedSeries(self.coeffs[: precision + 1])
+        return TruncatedSeries._of(self.coeffs[: precision + 1])
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        m = min(self.precision, other.precision)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(m + 1)]
-        )
+    # zip stops at the shorter tuple, so a sum or difference is known up to
+    # the smaller precision, as a product is
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        m = min(self.precision, other.precision)
-        return TruncatedSeries(
-            [self.coeffs[i] - other.coeffs[i] for i in range(m + 1)]
-        )
+    def __add__(self, other):
+        if type(other) is not TruncatedSeries:
+            return NotImplemented
+        return TruncatedSeries._of(tuple([a + b for a, b in zip(self.coeffs, other.coeffs)]))
+
+    def __sub__(self, other):
+        if type(other) is not TruncatedSeries:
+            return NotImplemented
+        return TruncatedSeries._of(tuple([a - b for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries([-c for c in self.coeffs])
+        return TruncatedSeries._of(tuple([-c for c in self.coeffs]))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries([c * other for c in self.coeffs])
-        m = min(self.precision, other.precision)
-        a, b = self.coeffs, other.coeffs
-        if sum(1 for c in a[: m + 1] if c) > sum(1 for c in b[: m + 1] if c):
-            a, b = b, a
-        acc = [0] * (m + 1)
-        for i in range(m + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(m + 1 - i):
-                bj = b[j]
-                if bj:
-                    acc[i + j] += ai * bj
-        return TruncatedSeries(acc)
+        if type(other) is TruncatedSeries:
+            a, b = self.coeffs, other.coeffs
+            m = min(len(a), len(b))
+            acc = [0] * m
+            for i in range(m):
+                ai = a[i]
+                if not ai:
+                    continue
+                for j in range(m - i):
+                    bj = b[j]
+                    if bj:
+                        acc[i + j] += ai * bj
+            return TruncatedSeries._of(tuple(acc))
+        if type(other) in _EXACT:
+            return TruncatedSeries._of(tuple([c * other for c in self.coeffs]))
+        return NotImplemented
 
     __rmul__ = __mul__
 

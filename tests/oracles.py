@@ -1,9 +1,10 @@
 """Independent recomputations used to cross-check the library.
 
 Everything here deliberately avoids the code path it checks: determinants
-are expanded over permutations, linear programs are solved by enumerating
-basic solutions, by the general two-phase simplex method on their
-equation form, or by brute-force search over integer plane partitions,
+are expanded over permutations in a separate series arithmetic on
+coefficient tuples, linear programs are solved by enumerating basic
+solutions, by the general two-phase simplex method on their equation
+form, or by brute-force search over integer plane partitions,
 singular loci are read off torus fixed points, the Pluecker orders of
 G(2, 4) come from their closed forms, big-cell membership is decided
 by series determinants rather than by constant terms, and plateau corners
@@ -53,15 +54,54 @@ def perm_sign(perm):
 
 
 def perm_det(matrix, rows, cols):
-    """Signed permutation expansion of the [rows|cols] minor (0-based)."""
+    """Signed permutation expansion of the [rows|cols] minor (0-based), with
+    the reference arithmetic below in place of the series kernel."""
     rows, cols = tuple(rows), tuple(cols)
-    total = TruncatedSeries.zero(matrix.precision)
+    prec = matrix.precision
+    total = (0,) * (prec + 1)
     for perm in permutations(range(len(rows))):
-        term = TruncatedSeries.one(matrix.precision)
+        term = (1,) + (0,) * prec
         for i, p in enumerate(perm):
-            term = term * matrix.entries[rows[i]][cols[p]]
-        total = total + term if perm_sign(perm) > 0 else total - term
-    return total
+            term = series_mul(term, matrix.entries[rows[i]][cols[p]].coeffs)
+        total = series_add(total, term) if perm_sign(perm) > 0 else series_sub(total, term)
+    return TruncatedSeries(total)
+
+
+# -- Series arithmetic on coefficient tuples ------------------------------------
+#
+# A tuple (c_0, ..., c_m) is a series known modulo t^(m+1); each result is
+# known up to the smaller of the two precisions.  These are the plain index
+# loops, and the product runs its outer loop over the sparser factor.
+
+
+def series_add(a, b):
+    m = min(len(a) - 1, len(b) - 1)
+    return tuple([a[i] + b[i] for i in range(m + 1)])
+
+
+def series_sub(a, b):
+    m = min(len(a) - 1, len(b) - 1)
+    return tuple([a[i] - b[i] for i in range(m + 1)])
+
+
+def series_mul(a, b):
+    """Product of two coefficient tuples, or of a tuple and an int or
+    Fraction scalar ``b``."""
+    if isinstance(b, (int, Fraction)):
+        return tuple([c * b for c in a])
+    m = min(len(a) - 1, len(b) - 1)
+    if sum(1 for c in a[: m + 1] if c) > sum(1 for c in b[: m + 1] if c):
+        a, b = b, a
+    acc = [0] * (m + 1)
+    for i in range(m + 1):
+        ai = a[i]
+        if not ai:
+            continue
+        for j in range(m + 1 - i):
+            bj = b[j]
+            if bj:
+                acc[i + j] += ai * bj
+    return tuple(acc)
 
 
 def naive_alpha(arc):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubert_arcs import (
     GrassmannShape,
@@ -38,6 +40,9 @@ from oracles import (
     naive_alpha,
     perm_det,
     random_plane_partition,
+    series_add,
+    series_mul,
+    series_sub,
     shapes_up_to,
 )
 
@@ -84,6 +89,84 @@ def test_series_order_and_units():
     assert not parse_series("t", 8).is_unit
 
 
+def test_coefficients_must_be_exact():
+    for coeffs in ([0.5, 1], ["a"], [True, 2], [1, None]):
+        with pytest.raises(ValueError):
+            TruncatedSeries(coeffs)
+    with pytest.raises(ValueError):
+        TruncatedSeries([1.0], 3)
+    with pytest.raises(ValueError):
+        TruncatedSeries.constant(0.5, 3)
+
+
+def test_precision_must_not_be_negative():
+    with pytest.raises(ValueError):
+        TruncatedSeries([1] * 10, -5)
+    with pytest.raises(ValueError):
+        TruncatedSeries([1, 2]).truncate(-1)
+
+
+def test_foreign_operands_raise_type_error():
+    s = TruncatedSeries([1, 2])
+    for operate in (
+        lambda: s + 1,
+        lambda: 1 + s,
+        lambda: s - Fraction(1, 2),
+        lambda: s * 1.5,
+        lambda: 1.5 * s,
+        lambda: s * True,
+        lambda: True * s,
+        lambda: s * "t",
+    ):
+        with pytest.raises(TypeError):
+            operate()
+    assert 2 * s == s * 2 == TruncatedSeries([2, 4])
+    assert Fraction(1, 2) * s == s * Fraction(1, 2) == TruncatedSeries([Fraction(1, 2), 1])
+
+
+@st.composite
+def coefficient_tuples(draw, precision):
+    """Coefficients of a series at the given precision: ints and Fractions,
+    negative and zero, often after a run of leading zeros."""
+    coefficient = st.one_of(
+        st.integers(-9, 9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+    )
+    leading = draw(st.integers(0, precision + 1))
+    rest = draw(st.lists(coefficient, min_size=precision + 1 - leading, max_size=precision + 1 - leading))
+    return (0,) * leading + tuple(rest)
+
+
+@st.composite
+def series_pairs(draw):
+    p = draw(st.integers(0, 8))
+    q = draw(st.one_of(st.just(p), st.integers(0, 8)))
+    return draw(coefficient_tuples(p)), draw(coefficient_tuples(q))
+
+
+def _same(result: TruncatedSeries, reference: tuple) -> None:
+    assert result.precision == len(reference) - 1
+    assert result.coeffs == reference
+    assert [type(c) for c in result.coeffs] == [type(c) for c in reference]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    series_pairs(),
+    st.one_of(st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=6)),
+)
+def test_arithmetic_matches_the_reference(pair, scalar):
+    a, b = pair
+    x, y = TruncatedSeries(a), TruncatedSeries(b)
+    _same(x + y, series_add(a, b))
+    _same(x - y, series_sub(a, b))
+    _same(x * y, series_mul(a, b))
+    _same(y * x, series_mul(b, a))
+    _same(x * scalar, series_mul(a, scalar))
+    _same(scalar * x, series_mul(a, scalar))
+    _same(-x, series_mul(a, -1))
+
+
 def test_series_text_round_trip():
     for text in ["0", "1", "t", "t^2+t^3", "2*t^3", "1/2*t", "1-t", "-t+3"]:
         s = parse_series(text, 8)
@@ -117,11 +200,17 @@ def test_big_cell_arc_appends_antidiagonal():
 
 def test_determinants_match_permutation_expansion():
     rng = random.Random(17)
-    for _ in range(30):
+
+    def draw_coefficient(fractional):
+        if fractional:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return rng.randint(-3, 3)
+
+    for case in range(60):
         nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
         entries = [
             [
-                TruncatedSeries([rng.randint(-3, 3) for _ in range(7)])
+                TruncatedSeries([draw_coefficient(case % 2) for _ in range(7)])
                 for _ in range(ncols)
             ]
             for _ in range(nrows)
