@@ -90,7 +90,9 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, precision: int) -> "TruncatedSeries":
-        return cls([0], precision)
+        if precision < 0:
+            raise ValueError(f"negative precision {precision}")
+        return cls._of((0,) * (precision + 1))
 
     @classmethod
     def constant(cls, c, precision: int) -> "TruncatedSeries":
@@ -98,7 +100,9 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, precision: int) -> "TruncatedSeries":
-        return cls([1], precision)
+        if precision < 0:
+            raise ValueError(f"negative precision {precision}")
+        return cls._of((1,) + (0,) * precision)
 
     @classmethod
     def t_power(cls, exponent: int, precision: int, coeff=1) -> "TruncatedSeries":
@@ -177,7 +181,11 @@ class TruncatedSeries:
 
 
 class SeriesMatrix:
-    """A matrix of truncated series, normalized to one common precision."""
+    """A matrix of truncated series, normalized to one common precision.
+
+    Every entry must be a :class:`TruncatedSeries`; anything else raises
+    ``ValueError``.
+    """
 
     __slots__ = ("entries", "nrows", "ncols")
 
@@ -187,6 +195,10 @@ class SeriesMatrix:
             raise ValueError("series matrix must be non-empty")
         if any(len(row) != len(entries[0]) for row in entries):
             raise ValueError("ragged series matrix")
+        for row in entries:
+            for e in row:
+                if type(e) is not TruncatedSeries:
+                    raise ValueError(f"series matrix entries must be TruncatedSeries: {e!r}")
         m = min(e.precision for row in entries for e in row)
         self.entries = tuple(tuple(e.truncate(m) for e in row) for row in entries)
         self.nrows = len(entries)
@@ -220,31 +232,37 @@ def big_cell_arc(affine: SeriesMatrix) -> SeriesMatrix:
 
 
 def series_det(matrix: SeriesMatrix, rows, cols) -> TruncatedSeries:
-    """Determinant of the square submatrix on ``rows`` x ``cols`` (0-based).
+    """Determinant of the square submatrix on ``rows`` x ``cols`` (0-based),
+    in any order and with repeats.
 
-    Subset dynamic programming over column choices: O(2^s s) series products.
+    Subset dynamic programming: the minor on the first r+1 rows and a set of
+    r+1 column positions is expanded along row r into the minors of size r,
+    so O(2^s s) series products.
     """
     rows, cols = tuple(rows), tuple(cols)
     s = len(rows)
     if s != len(cols):
         raise ValueError("determinant needs a square submatrix")
-    prec = matrix.precision
     if s == 0:
-        return TruncatedSeries.one(prec)
+        return TruncatedSeries.one(matrix.precision)
     entry = matrix.entries
     sub = [[entry[r][c] for c in cols] for r in rows]
-    dp = {0: TruncatedSeries.one(prec)}
-    for mask in sorted(range(1, 1 << s), key=lambda m: m.bit_count()):
-        r = mask.bit_count() - 1
-        acc = TruncatedSeries.zero(prec)
-        idx = 0
-        for j in range(s):
-            if mask >> j & 1:
-                term = sub[r][j] * dp[mask ^ (1 << j)]
+    # minors of the rows so far, keyed by their increasing column positions
+    minors = {(j,): e for j, e in enumerate(sub[0])}
+    for r in range(1, s):
+        row = sub[r]
+        larger = {}
+        for subset in combinations(range(s), r + 1):
+            # the cofactor of entry (r, subset[idx]) has sign (-1)^(r+idx)
+            acc = row[subset[0]] * minors[subset[1:]]
+            if r % 2:
+                acc = -acc
+            for idx in range(1, r + 1):
+                term = row[subset[idx]] * minors[subset[:idx] + subset[idx + 1 :]]
                 acc = acc + term if (r + idx) % 2 == 0 else acc - term
-                idx += 1
-        dp[mask] = acc
-    return dp[(1 << s) - 1]
+            larger[subset] = acc
+        minors = larger
+    return minors[tuple(range(s))]
 
 
 def _rank_of_constant_term(const) -> int:
@@ -273,11 +291,13 @@ def _check_big_cell(arc: SeriesMatrix) -> None:
     if not k < n:
         raise NotAnArc(f"a {k} x {n} matrix does not present a proper subspace")
     const = arc.constant_term()
-    if _rank_of_constant_term(const) < k:
-        raise NotAnArc("no maximal minor is a unit")
     # a minor is a unit exactly when its constant term, the determinant of
-    # the constant block, is nonzero
+    # the constant block, is nonzero; a unit last block already gives the
+    # constant term rank k, so the full rank is needed only to tell a
+    # singular block of an arc from a matrix that is no arc at all
     if _rank_of_constant_term([row[n - k :] for row in const]) < k:
+        if _rank_of_constant_term(const) < k:
+            raise NotAnArc("no maximal minor is a unit")
         raise NotInBigCell(
             "the minor on the last k columns is not a unit; "
             "apply borel_translate first"

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the code path it checks: determinants
 are expanded over permutations in a separate series arithmetic on
-coefficient tuples, linear programs are solved by enumerating basic
+coefficient tuples, or by the library's former subset dynamic program,
+linear programs are solved by enumerating basic
 solutions, by the general two-phase simplex method on their equation
 form, or by brute-force search over integer plane partitions,
 singular loci are read off torus fixed points, the Pluecker orders of
@@ -33,7 +34,6 @@ from schubert_arcs import (
 from schubert_arcs.lct import _var
 from schubert_arcs.partitions import schubert_conditions
 from schubert_arcs.plane_partitions import _diagonal_positions, ord_schubert
-from schubert_arcs.series import series_det
 from schubert_arcs.simplex import LPSolution
 
 
@@ -65,6 +65,37 @@ def perm_det(matrix, rows, cols):
             term = series_mul(term, matrix.entries[rows[i]][cols[p]].coeffs)
         total = series_add(total, term) if perm_sign(perm) > 0 else series_sub(total, term)
     return TruncatedSeries(total)
+
+
+def subset_dp_det(matrix, rows, cols):
+    """Determinant of the square submatrix on ``rows`` x ``cols`` (0-based).
+
+    Subset dynamic programming over column choices: O(2^s s) series products.
+    This is the library's series determinant as it was before it dropped its
+    per-call set-up: bit masks sorted by size, each sum started from a zero
+    series.
+    """
+    rows, cols = tuple(rows), tuple(cols)
+    s = len(rows)
+    if s != len(cols):
+        raise ValueError("determinant needs a square submatrix")
+    prec = matrix.precision
+    if s == 0:
+        return TruncatedSeries.one(prec)
+    entry = matrix.entries
+    sub = [[entry[r][c] for c in cols] for r in rows]
+    dp = {0: TruncatedSeries.one(prec)}
+    for mask in sorted(range(1, 1 << s), key=lambda m: m.bit_count()):
+        r = mask.bit_count() - 1
+        acc = TruncatedSeries.zero(prec)
+        idx = 0
+        for j in range(s):
+            if mask >> j & 1:
+                term = sub[r][j] * dp[mask ^ (1 << j)]
+                acc = acc + term if (r + idx) % 2 == 0 else acc - term
+                idx += 1
+        dp[mask] = acc
+    return dp[(1 << s) - 1]
 
 
 # -- Series arithmetic on coefficient tuples ------------------------------------
@@ -185,7 +216,7 @@ def column_slice(matrix, ncols):
 
 def _has_unit_maximal_minor(arc):
     k, n = arc.nrows, arc.ncols
-    return any(series_det(arc, range(k), cols).is_unit for cols in combinations(range(n), k))
+    return any(subset_dp_det(arc, range(k), cols).is_unit for cols in combinations(range(n), k))
 
 
 def check_big_cell_by_series_det(arc):
@@ -197,7 +228,7 @@ def check_big_cell_by_series_det(arc):
         raise NotAnArc(f"a {k} x {n} matrix does not present a proper subspace")
     if not _has_unit_maximal_minor(arc):
         raise NotAnArc("no maximal minor is a unit")
-    if not series_det(arc, range(k), range(n - k, n)).is_unit:
+    if not subset_dp_det(arc, range(k), range(n - k, n)).is_unit:
         raise NotInBigCell(
             "the minor on the last k columns is not a unit; "
             "apply borel_translate first"
@@ -231,7 +262,7 @@ def borel_translate_by_series_det(arc, seed=0):
                 new_row.append(acc)
             rows.append(new_row)
         candidate = SeriesMatrix(rows)
-        if series_det(candidate, range(k), range(n - k, n)).is_unit:
+        if subset_dp_det(candidate, range(k), range(n - k, n)).is_unit:
             return candidate
     raise RuntimeError("internal: failed to reach the big cell by translation")
 

@@ -44,6 +44,7 @@ from oracles import (
     series_mul,
     series_sub,
     shapes_up_to,
+    subset_dp_det,
 )
 
 G24 = GrassmannShape(2, 4)
@@ -104,6 +105,10 @@ def test_precision_must_not_be_negative():
         TruncatedSeries([1] * 10, -5)
     with pytest.raises(ValueError):
         TruncatedSeries([1, 2]).truncate(-1)
+    with pytest.raises(ValueError):
+        TruncatedSeries.zero(-1)
+    with pytest.raises(ValueError):
+        TruncatedSeries.one(-1)
 
 
 def test_foreign_operands_raise_type_error():
@@ -167,6 +172,38 @@ def test_arithmetic_matches_the_reference(pair, scalar):
     _same(-x, series_mul(a, -1))
 
 
+@st.composite
+def determinant_cases(draw):
+    """A series matrix of up to 5 x 5 entries at one precision 0..6, with
+    int and Fraction coefficients, and the rows and columns of a square
+    submatrix of size 0..5 in any order, repeats included."""
+    size = draw(st.integers(0, 5))
+    precision = draw(st.integers(0, 6))
+    nrows, ncols = draw(st.integers(max(size, 1), 5)), draw(st.integers(max(size, 1), 5))
+    coefficient = st.sampled_from([2, -1, 0, Fraction(1, 2), 1, 0, -3, Fraction(-4, 3), Fraction(6, 3)])
+    coefficients = st.lists(coefficient, min_size=precision + 1, max_size=precision + 1)
+    matrix = SeriesMatrix(
+        [[TruncatedSeries(draw(coefficients)) for _ in range(ncols)] for _ in range(nrows)]
+    )
+
+    def indices(count):
+        # mostly distinct, so that most minors are not zero for a repeat
+        repeats = draw(st.integers(0, 3)) == 3
+        return draw(st.lists(st.integers(0, count - 1), min_size=size, max_size=size, unique=not repeats))
+
+    return matrix, indices(nrows), indices(ncols)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(determinant_cases())
+def test_determinant_matches_both_references(case):
+    matrix, rows, cols = case
+    det = series_det(matrix, rows, cols)
+    assert det == perm_det(matrix, rows, cols)
+    reference = subset_dp_det(matrix, rows, cols)
+    _same(det, reference.coeffs)
+
+
 def test_series_text_round_trip():
     for text in ["0", "1", "t", "t^2+t^3", "2*t^3", "1/2*t", "1-t", "-t+3"]:
         s = parse_series(text, 8)
@@ -187,6 +224,13 @@ def test_matrix_normalizes_precision():
     assert m.constant_term() == [[0, 1]]
     with pytest.raises(ValueError):
         SeriesMatrix([])
+
+
+def test_matrix_entries_must_be_series():
+    with pytest.raises(ValueError):
+        SeriesMatrix([[1, 2]])
+    with pytest.raises(ValueError):
+        SeriesMatrix([[TruncatedSeries([1]), "x"]])
 
 
 def test_big_cell_arc_appends_antidiagonal():
