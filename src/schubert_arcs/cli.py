@@ -130,7 +130,6 @@ def cmd_profile(args):
 
 
 def cmd_order(args):
-    from .networks import plucker_ord
     from .partitions import parse_multi_index, parse_partition
     from .plane_partitions import format_ext, ord_schubert, parse_plane_partition
 
@@ -140,6 +139,8 @@ def cmd_order(args):
         lam = parse_partition(args.lam, shape)
         value = ord_schubert(beta, lam)
     else:
+        from .networks import plucker_ord
+
         entries = parse_multi_index(args.plucker, shape)
         value = plucker_ord(beta, entries)
     return {"order": _ext_json(value)}, [f"order: {format_ext(value)}"]

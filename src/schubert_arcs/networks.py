@@ -15,7 +15,7 @@ Grid positions, source labels, and sink labels are 1-based throughout.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from .partitions import GrassmannShape, minor_of_multi_index
 from .plane_partitions import ExtNat, PlanePartition, diagonal_sum, weight_exponents
@@ -173,16 +173,16 @@ class EssentialWeighting:
         self.precision = some.precision
 
     def path_weight(self, path) -> TruncatedSeries:
-        acc = TruncatedSeries.one(self.precision)
-        for v in path:
-            w = self.vertex_weights.get(v)
+        """Product of the weights on the vertices and edges of a path;
+        ``one`` only for a path with no weighted position."""
+        weights = chain(
+            map(self.vertex_weights.get, path), map(self.edge_weights.get, zip(path, path[1:]))
+        )
+        acc = None
+        for w in weights:
             if w is not None:
-                acc = acc * w
-        for tail, head in zip(path, path[1:]):
-            w = self.edge_weights.get((tail, head))
-            if w is not None:
-                acc = acc * w
-        return acc
+                acc = w if acc is None else acc * w
+        return TruncatedSeries.one(self.precision) if acc is None else acc
 
 
 def essential_weighting(beta: PlanePartition, precision: int = 16, seed: int | None = None) -> EssentialWeighting:
@@ -219,18 +219,37 @@ def _unit_matrix(shape: GrassmannShape, seed: int | None):
 
 def weight_matrix(network: PlanarNetwork, weighting: EssentialWeighting) -> SeriesMatrix:
     """Matrix of path sums: entry (i, j) adds the weights of all paths from
-    source i to sink j."""
+    source i to sink j.
+
+    One backward pass over the network, with no path listed: rows from k
+    down to 1, columns from 1 to c+1, each vertex keeps its path sums to
+    every sink it reaches, and those are its vertex weight times the sum,
+    over its out-edges, of the edge weight times the head's path sums.
+    Only weights that exist are multiplied in and every sum starts from its
+    first term, so the pass costs O(k c^2) series operations, c = n - k.
+    """
     k, c = network.shape.k, network.shape.cols
-    rows = []
-    for i in range(1, k + 1):
-        row = []
-        for j in range(1, c + 1):
-            acc = TruncatedSeries.zero(weighting.precision)
-            for path in network.paths(i, j):
-                acc = acc + weighting.path_weight(path)
-            row.append(acc)
-        rows.append(row)
-    return SeriesMatrix(rows)
+    vertex_weights, edge_weights = weighting.vertex_weights, weighting.edge_weights
+    one = TruncatedSeries.one(weighting.precision)
+    sums = {(k + 1, j): {j: one} for j in range(1, c + 1)}
+    for r in range(k, 0, -1):
+        for col in range(1, c + 2):
+            tail = (r, col)
+            heads = [(r, col - 1)] if col >= 2 else []
+            if col <= c:
+                heads.append((r + 1, col))
+            if (r, col - 1) in network.diagonals:
+                heads.append((r + 1, col - 1))
+            total: dict[int, TruncatedSeries] = {}
+            for head in heads:
+                w = edge_weights.get((tail, head))
+                for j, s in sums[head].items():
+                    if w is not None:
+                        s = w * s
+                    total[j] = total[j] + s if j in total else s
+            w = vertex_weights.get(tail)
+            sums[tail] = total if w is None else {j: w * s for j, s in total.items()}
+    return SeriesMatrix([[sums[(i, c + 1)][j] for j in range(1, c + 1)] for i in range(1, k + 1)])
 
 
 def lindstrom_minor(

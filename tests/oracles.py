@@ -3,13 +3,13 @@
 Everything here deliberately avoids the code path it checks: determinants
 are expanded over permutations in a separate series arithmetic on
 coefficient tuples, or by the library's former subset dynamic program,
-linear programs are solved by enumerating basic
-solutions, by the general two-phase simplex method on their equation
-form, or by brute-force search over integer plane partitions,
-singular loci are read off torus fixed points, the Pluecker orders of
-G(2, 4) come from their closed forms, big-cell membership is decided
-by series determinants rather than by constant terms, and plateau corners
-by scanning whole regions.
+path sums add up the weights of every listed path, linear programs are
+solved by enumerating basic solutions, by the general two-phase simplex
+method on their equation form, or by brute-force search over integer
+plane partitions, singular loci are read off torus fixed points, the
+Pluecker orders of G(2, 4) come from their closed forms, big-cell
+membership is decided by series determinants rather than by constant
+terms, and plateau corners by scanning whole regions.
 """
 
 import random
@@ -96,6 +96,25 @@ def subset_dp_det(matrix, rows, cols):
                 idx += 1
         dp[mask] = acc
     return dp[(1 << s) - 1]
+
+
+# -- Path sums by enumeration ----------------------------------------------------
+
+
+def weight_matrix_by_paths(network, weighting):
+    """Matrix of path sums: entry (i, j) adds the weights of all paths from
+    source i to sink j."""
+    k, c = network.shape.k, network.shape.cols
+    rows = []
+    for i in range(1, k + 1):
+        row = []
+        for j in range(1, c + 1):
+            acc = TruncatedSeries.zero(weighting.precision)
+            for path in network.paths(i, j):
+                acc = acc + weighting.path_weight(path)
+            row.append(acc)
+        rows.append(row)
+    return SeriesMatrix(rows)
 
 
 # -- Series arithmetic on coefficient tuples ------------------------------------

@@ -42,6 +42,7 @@ CLI_RUNS = [
     (["profile", *G24, "--arc", "t^9, 0, 0, 1; 0, t, 1, 0", "--prec", "4"], 3,
      HEAVY - {"schubert_arcs.series"}),
     (["order", *G24, *BETA, "--plucker", "[1,2]"], 0, {"schubert_arcs.nash"}),
+    (["order", *G24, *BETA, "--lambda", "1"], 0, HEAVY),
     (["nash-compare", *G24, *BETA, "--beta2", "2 2; 1 0"], 0, set()),
     (["codim", *G24, *BETA], 0, set()),
     (["chain", *G24, *BETA], 0, set()),

@@ -31,7 +31,12 @@ from schubert_arcs.partitions import all_partitions, final_minor
 from schubert_arcs.plane_partitions import all_plane_partitions, essential_profile
 from schubert_arcs.series import TruncatedSeries, big_cell_arc, format_arc_matrix, series_det
 
-from oracles import grown_plane_partition, random_plane_partition, shapes_up_to
+from oracles import (
+    grown_plane_partition,
+    random_plane_partition,
+    shapes_up_to,
+    weight_matrix_by_paths,
+)
 
 G24 = GrassmannShape(2, 4)
 G25 = GrassmannShape(2, 5)
@@ -101,6 +106,75 @@ def test_weight_matrix_by_prime_substitution():
     for i in range(2):
         for j in range(3):
             assert X.entries[i][j] == TruncatedSeries.constant(expected[i][j], prec)
+
+
+def test_weight_matrix_matches_path_enumeration():
+    # The backward pass against the sum over every listed path, with random
+    # units, on every shape up to n = 10 and on one G(7, 14) arc.
+    rng = random.Random(11)
+    for shape in shapes_up_to(10):
+        net = PlanarNetwork(shape)
+        for _ in range(2):
+            beta = random_plane_partition(shape, 3, rng)
+            w = essential_weighting(beta, 16, seed=rng.randrange(10**6))
+            assert weight_matrix(net, w) == weight_matrix_by_paths(net, w), beta
+    shape = GrassmannShape(7, 14)
+    w = essential_weighting(PlanePartition.constant(shape, 2), 16, seed=7)
+    assert weight_matrix(PlanarNetwork(shape), w) == weight_matrix_by_paths(PlanarNetwork(shape), w)
+
+
+def test_weight_matrix_with_diagonals_matches_path_enumeration():
+    # Random diagonal edges, some of them weighted through extra_edges (at
+    # a precision of their own), others of weight one.
+    rng = random.Random(12)
+    for _ in range(40):
+        shape = rng.choice(shapes_up_to(8))
+        k, c = shape.k, shape.cols
+        tags = [(a, b) for a in range(1, k + 1) for b in range(1, c + 1)]
+        diagonals = rng.sample(tags, rng.randint(1, len(tags)))
+        net = PlanarNetwork(shape, diagonals=diagonals)
+        beta = random_plane_partition(shape, 3, rng)
+        exps = weight_exponents(beta)
+        wmat = [
+            [TruncatedSeries.t_power(exps[i][j], 16, coeff=rng.randint(1, 99)) for j in range(c)]
+            for i in range(k)
+        ]
+        extra = {
+            ((a, b + 1), (a + 1, b)): TruncatedSeries.t_power(
+                rng.randint(0, 3), rng.choice((12, 16, 20)), coeff=rng.randint(1, 99)
+            )
+            for a, b in diagonals
+            if rng.random() < 0.5
+        }
+        w = EssentialWeighting(shape, wmat, extra_edges=extra)
+        assert weight_matrix(net, w) == weight_matrix_by_paths(net, w), (shape, diagonals)
+
+
+def test_path_sums_list_no_path(monkeypatch):
+    def no_paths(self, i, j):
+        raise AssertionError("path sums must not list paths")
+
+    monkeypatch.setattr(PlanarNetwork, "paths", no_paths)
+    shape = GrassmannShape(3, 6)
+    beta = PlanePartition([[2, 1, 1], [1, 1, 0], [1, 0, 0]], shape)
+    assert weight_matrix(PlanarNetwork(shape), essential_weighting(beta, 8, seed=1)).nrows == 3
+    assert invariant_factor_profile(generic_arc(beta, seed=1)) == beta
+
+
+def test_path_weight_of_an_unweighted_path_is_one():
+    # The diagonal from source 2 straight to sink 2 passes no essential
+    # position; weighted through extra_edges, it carries just that weight.
+    # The path through v(2, 2) and v(2, 1) passes two, of weight 3t each.
+    net = PlanarNetwork(G24, diagonals=[(2, 2)])
+    path = ((2, 3), (3, 2))
+    assert path in net.paths(2, 2)
+    wmat = [[TruncatedSeries.t_power(1, 8, coeff=3)] * 2] * 2
+    assert EssentialWeighting(G24, wmat).path_weight(path) == TruncatedSeries.one(8)
+    wedge = TruncatedSeries.t_power(2, 8, coeff=5)
+    weighted = EssentialWeighting(G24, wmat, extra_edges={path: wedge})
+    assert weighted.path_weight(path) == wedge
+    two = ((2, 3), (2, 2), (2, 1), (3, 1))
+    assert weighted.path_weight(two) == TruncatedSeries.t_power(2, 8, coeff=9)
 
 
 def test_essential_positions_on_the_staircase():
