@@ -38,8 +38,8 @@ _EXPORTS = {
         "plucker_order_of_arc",
     ),
     "networks": (
-        "PlanarNetwork", "essential_weighting", "gamma0", "generic_arc", "lindstrom_minor",
-        "plucker_ord", "tropical_minor_order", "weight_matrix",
+        "PlanarNetwork", "essential_weighting", "gamma0", "generic_arc", "plucker_ord",
+        "tropical_minor_order", "weight_matrix",
     ),
     "nash": (
         "ContainmentVerdict", "codim", "codim_chain", "compare", "discrepancy_data",

@@ -1,13 +1,12 @@
 """Log canonical thresholds of Schubert varieties inside the Grassmannian.
 
-The Arnold multiplicity of the pair is the maximum of the contact order
-ord(lambda) over the polytope of normalized Schubert valuations, cut to the
-largest subspace where that piecewise-linear function is linear: plane
-R-partitions of volume one whose corner diagonal sums all agree.  This is a
-small exact linear program.  All its rows but the volume row are
-homogeneous, so the origin is a vertex and a one-phase simplex solves it.
-The log canonical threshold is the reciprocal, and rectangular shapes have
-a closed form.
+The Arnold multiplicity of the pair is a max-min: the largest value, over
+plane R-partitions beta of volume at most one, of ord(lambda)(beta), the
+least diagonal sum of beta at a corner of lambda.  With one more variable t
+bounded by every corner sum, it is the small exact linear program "maximize
+t".  All its rows but the volume row are homogeneous, so the origin is a
+vertex and a one-phase simplex solves it.  The log canonical threshold is
+the reciprocal, and rectangular shapes have a closed form.
 """
 
 from __future__ import annotations
@@ -27,44 +26,39 @@ def _var(shape: GrassmannShape, i: int, j: int) -> int:
 def build_lp(lam: Partition) -> RationalLP:
     """Linear program whose optimum is the Arnold multiplicity of lam.
 
-    Variables are the entries of a plane R-partition beta, row-major.
-    Every row has the form coefficients . beta <= rhs: entries weakly
-    decrease along rows and columns (with non-negativity native to the
-    solver), the volume is at most one, and the diagonal sums at
-    consecutive corners of lam agree, each equation written as two
-    opposite rows.  The objective is the diagonal sum at the first corner,
-    which equals ord(lambda) on the equalized locus.  Every row but the
-    volume row is homogeneous, so the volume is one at every optimum.
+    Variables are the entries of a plane R-partition beta, row-major, then
+    t at index k*(n-k); the objective is t.  Every row has the form
+    coefficients . x <= rhs: entries weakly decrease along rows and columns
+    (with non-negativity native to the solver), the volume is at most one,
+    and t - D(beta) <= 0 for the diagonal sum D at each corner of lam, in
+    the order of schubert_conditions.  So t is at most ord(lambda)(beta),
+    with equality at every optimum, and every row but the volume row is
+    homogeneous, so the volume is one at every optimum.
     """
     if not lam:
         raise ValueError("the pair with the whole Grassmannian has no threshold")
     shape = lam.shape
     k, c = shape.k, shape.cols
-    lp = RationalLP(k * c, [0] * (k * c))
-    corners = schubert_conditions(lam)
-    for i, j in _diagonal_positions(shape, *corners[0]):
-        lp.objective[_var(shape, i, j)] = 1
+    t = k * c
+    lp = RationalLP(t + 1, [0] * t + [1])
     for i in range(1, k + 1):
         for j in range(1, c + 1):
             if j < c:
-                row = [0] * (k * c)
+                row = [0] * (t + 1)
                 row[_var(shape, i, j)] = -1
                 row[_var(shape, i, j + 1)] = 1
                 lp.add(row, 0)
             if i < k:
-                row = [0] * (k * c)
+                row = [0] * (t + 1)
                 row[_var(shape, i, j)] = -1
                 row[_var(shape, i + 1, j)] = 1
                 lp.add(row, 0)
-    lp.add([1] * (k * c), 1)
-    for (a, b), (a2, b2) in zip(corners, corners[1:]):
-        row = [0] * (k * c)
+    lp.add([1] * t + [0], 1)
+    for a, b in schubert_conditions(lam):
+        row = [0] * t + [1]
         for i, j in _diagonal_positions(shape, a, b):
-            row[_var(shape, i, j)] += 1
-        for i, j in _diagonal_positions(shape, a2, b2):
-            row[_var(shape, i, j)] -= 1
+            row[_var(shape, i, j)] = -1
         lp.add(row, 0)
-        lp.add([-x for x in row], 0)
     return lp
 
 

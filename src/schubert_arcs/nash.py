@@ -56,9 +56,11 @@ def _plucker_drop(beta: PlanePartition, beta2: PlanePartition) -> str | None:
 
 def _refutation(beta: PlanePartition, beta2: PlanePartition) -> str | None:
     """Witness that the closure of the first stratum cannot contain the
-    second, or None: some Pluecker order drops, or both volumes are finite
-    and fail the strict increase that a strict containment of irreducible
-    closed strata forces.  Meant for distinct arguments."""
+    second, or None: some Pluecker order drops, or the volumes fail the
+    strict increase that a strict containment of irreducible closed strata
+    forces.  That refutes two finite volumes that do not increase and an
+    infinite first volume against a finite second one; two infinite
+    volumes refute nothing.  Meant for distinct arguments."""
     drop = _plucker_drop(beta, beta2)
     if drop is not None:
         return drop

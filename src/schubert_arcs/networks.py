@@ -15,7 +15,7 @@ Grid positions, source labels, and sink labels are 1-based throughout.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 
 from .partitions import GrassmannShape, minor_of_multi_index
 from .plane_partitions import ExtNat, PlanePartition, diagonal_sum, weight_exponents
@@ -172,18 +172,6 @@ class EssentialWeighting:
         )
         self.precision = some.precision
 
-    def path_weight(self, path) -> TruncatedSeries:
-        """Product of the weights on the vertices and edges of a path;
-        ``one`` only for a path with no weighted position."""
-        weights = chain(
-            map(self.vertex_weights.get, path), map(self.edge_weights.get, zip(path, path[1:]))
-        )
-        acc = None
-        for w in weights:
-            if w is not None:
-                acc = w if acc is None else acc * w
-        return TruncatedSeries.one(self.precision) if acc is None else acc
-
 
 def essential_weighting(beta: PlanePartition, precision: int = 16, seed: int | None = None) -> EssentialWeighting:
     """The weighting realizing beta: weight t^c at each essential position,
@@ -227,7 +215,10 @@ def weight_matrix(network: PlanarNetwork, weighting: EssentialWeighting) -> Seri
     over its out-edges, of the edge weight times the head's path sums.
     Only weights that exist are multiplied in and every sum starts from its
     first term, so the pass costs O(k c^2) series operations, c = n - k.
+    A weighting built for another shape raises ValueError.
     """
+    if weighting.shape != network.shape:
+        raise ValueError(f"a weighting of {weighting.shape!r} on a network of {network.shape!r}")
     k, c = network.shape.k, network.shape.cols
     vertex_weights, edge_weights = weighting.vertex_weights, weighting.edge_weights
     one = TruncatedSeries.one(weighting.precision)
@@ -250,24 +241,6 @@ def weight_matrix(network: PlanarNetwork, weighting: EssentialWeighting) -> Seri
             w = vertex_weights.get(tail)
             sums[tail] = total if w is None else {j: w * s for j, s in total.items()}
     return SeriesMatrix([[sums[(i, c + 1)][j] for j in range(1, c + 1)] for i in range(1, k + 1)])
-
-
-def lindstrom_minor(
-    network: PlanarNetwork, weighting: EssentialWeighting, sources, sinks
-) -> TruncatedSeries:
-    """The [sources|sinks]-minor of the weight matrix, computed as the sum
-    over vertex-disjoint path families.  All signs are +1: in a planar
-    network no cancelling permutation survives."""
-    acc = TruncatedSeries.one(weighting.precision)
-    if not tuple(sources):
-        return acc
-    acc = TruncatedSeries.zero(weighting.precision)
-    for family in network.families(sources, sinks):
-        prod = TruncatedSeries.one(weighting.precision)
-        for path in family:
-            prod = prod * weighting.path_weight(path)
-        acc = acc + prod
-    return acc
 
 
 def _least_family_total(network: PlanarNetwork, sources, sinks, vertex, edge) -> ExtNat:

@@ -69,13 +69,6 @@ class Infinity:
     def __rsub__(self, other):
         raise ValueError("cannot subtract infinity from a finite value")
 
-    def __mul__(self, other):
-        if isinstance(other, Infinity) or other > 0:
-            return self
-        raise ValueError(f"{other!r} * inf is undefined")
-
-    __rmul__ = __mul__
-
 
 INF = Infinity()
 
@@ -175,12 +168,6 @@ class PlanePartition:
         if not (1 <= i <= self.shape.k and 1 <= j <= self.shape.cols):
             raise IndexError(f"position ({i}, {j}) outside the box")
         return self.rows[i - 1][j - 1]
-
-    def ext(self, i: int, j: int) -> ExtNat:
-        """Entry extended by zero below and to the right of the box."""
-        if i > self.shape.k or j > self.shape.cols:
-            return 0
-        return self.at(i, j)
 
     @property
     def volume(self) -> ExtNat:
@@ -353,7 +340,7 @@ def from_floors(chain, shape: GrassmannShape) -> PlanePartition:
             raise ValueError("floor partition in a different shape")
         if not mu:
             raise ValueError("empty floors are not allowed in a chain")
-        if not (isinstance(mult, int) and mult > 0):
+        if not (type(mult) is int and mult > 0):
             raise ValueError(f"floor multiplicity must be a positive integer, got {mult!r}")
         if previous is not None and not previous.contains(mu):
             raise ValueError(

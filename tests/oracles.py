@@ -3,13 +3,15 @@
 Everything here deliberately avoids the code path it checks: determinants
 are expanded over permutations in a separate series arithmetic on
 coefficient tuples, or by the library's former subset dynamic program,
-path sums add up the weights of every listed path, linear programs are
-solved by enumerating basic solutions, by the general two-phase simplex
-method on their equation form, or by brute-force search over integer
-plane partitions, singular loci are read off torus fixed points, the
-Pluecker orders of G(2, 4) come from their closed forms, big-cell
-membership is decided by series determinants rather than by constant
-terms, and plateau corners by scanning whole regions.
+path sums and minors add up the weights of every listed path and path
+family, tropical minor orders come from a column sweep that lists
+neither, linear programs are solved by enumerating basic solutions, by
+the general two-phase simplex method on the equalized threshold program,
+or by brute-force search over integer plane partitions, singular loci
+are read off torus fixed points, the Pluecker orders of G(2, 4) come from
+their closed forms, big-cell membership is decided by series
+determinants rather than by constant terms, and plateau corners by
+scanning whole regions.
 """
 
 import random
@@ -30,6 +32,7 @@ from schubert_arcs import (
     all_partitions,
     all_plane_partitions,
     floors,
+    weight_exponents,
 )
 from schubert_arcs.lct import _var
 from schubert_arcs.partitions import schubert_conditions
@@ -98,7 +101,19 @@ def subset_dp_det(matrix, rows, cols):
     return dp[(1 << s) - 1]
 
 
-# -- Path sums by enumeration ----------------------------------------------------
+# -- Path sums and minors by enumeration ----------------------------------------
+
+
+def path_weight(weighting, path):
+    """Product of the weights on the vertices and edges of a path; ``one``
+    only for a path with no weighted position."""
+    acc = None
+    weights = [weighting.vertex_weights.get(v) for v in path]
+    weights += [weighting.edge_weights.get(pair) for pair in zip(path, path[1:])]
+    for w in weights:
+        if w is not None:
+            acc = w if acc is None else acc * w
+    return TruncatedSeries.one(weighting.precision) if acc is None else acc
 
 
 def weight_matrix_by_paths(network, weighting):
@@ -111,10 +126,97 @@ def weight_matrix_by_paths(network, weighting):
         for j in range(1, c + 1):
             acc = TruncatedSeries.zero(weighting.precision)
             for path in network.paths(i, j):
-                acc = acc + weighting.path_weight(path)
+                acc = acc + path_weight(weighting, path)
             row.append(acc)
         rows.append(row)
     return SeriesMatrix(rows)
+
+
+def lindstrom_minor(network, weighting, sources, sinks):
+    """The [sources|sinks]-minor of the weight matrix, computed as the sum
+    over vertex-disjoint path families.  All signs are +1: in a planar
+    network no cancelling permutation survives."""
+    if not tuple(sources):
+        return TruncatedSeries.one(weighting.precision)
+    acc = TruncatedSeries.zero(weighting.precision)
+    for family in network.families(sources, sinks):
+        prod = TruncatedSeries.one(weighting.precision)
+        for path in family:
+            prod = prod * path_weight(weighting, path)
+        acc = acc + prod
+    return acc
+
+
+# -- Tropical minors by a column sweep -------------------------------------------
+
+
+def column_sweep_minor_order(beta, sources, sinks):
+    """Least summed weight exponent over the vertex-disjoint path families
+    joining sources to sinks in the staircase network of beta, without
+    listing a path or a family.
+
+    The sweep runs over the columns from right to left.  Its state is the
+    tuple of rows at which the surviving paths enter the current column,
+    each mapped to the least cost so far.  In a column, path u comes in at
+    row r_u, walks down to some row r'_u above the next path's entry, and
+    leaves to the left there, except the lowest path when this column is
+    its sink: it walks down off the grid.  Exponent (i, j) is paid by a
+    path entering (i, j) from the right when the box below-right of (i, j)
+    is wider than tall, by one visiting (i, j) when it is square, and by
+    one leaving (i, j) downwards when taller than wide.  The empty minor
+    has order 0.
+    """
+    sources, sinks = tuple(sources), tuple(sinks)
+    if not sources:
+        return 0
+    k, c = beta.shape.k, beta.shape.cols
+    exps = weight_exponents(beta)
+
+    def paid(i, j, entered, left_down):
+        below, right = k - i, c - j
+        if below < right:
+            return exps[i - 1][j - 1] if entered else 0
+        if below > right:
+            return exps[i - 1][j - 1] if left_down else 0
+        return exps[i - 1][j - 1]
+
+    def segment(col, top, bottom, to_sink):
+        """Cost of entering column col at row top and walking down to row
+        bottom, then leaving down to the sink or to the left."""
+        total = 0
+        for i in range(top, bottom + 1):
+            total = total + paid(i, col, i == top, i < bottom or to_sink)
+        return total
+
+    states = {sources: 0}
+    for col in range(c, 0, -1):
+        sinking = sinks[-1] == col
+        after = {}
+        for rows, cost in states.items():
+            choices = [()]
+            for u, top in enumerate(rows):
+                if sinking and u == len(rows) - 1:
+                    bottoms = [k]
+                else:
+                    bottoms = range(top, rows[u + 1] if u + 1 < len(rows) else k + 1)
+                choices = [exits + (bottom,) for exits in choices for bottom in bottoms]
+            for exits in choices:
+                total = cost
+                for u, (top, bottom) in enumerate(zip(rows, exits)):
+                    total = total + segment(col, top, bottom, sinking and u == len(rows) - 1)
+                key = exits[:-1] if sinking else exits
+                if col == 1 and key:
+                    continue  # a path never reaches its sink
+                if key not in after or total < after[key]:
+                    after[key] = total
+        states = after
+        if sinking:
+            sinks = sinks[:-1]
+            if not sinks:
+                break
+    if () not in states:
+        raise ValueError("no vertex-disjoint path family joins these sources and sinks")
+    return states[()]
 
 
 # -- Series arithmetic on coefficient tuples ------------------------------------

@@ -32,7 +32,6 @@ from schubert_arcs import (
 from schubert_arcs.networks import (
     essential_weighting,
     gamma0,
-    lindstrom_minor,
     plucker_ord,
     tropical_minor_order,
     weight_matrix,
@@ -45,6 +44,7 @@ from oracles import (
     brute_force_arnold,
     distinct_floor_count,
     grown_plane_partition,
+    lindstrom_minor,
     random_plane_partition,
     shapes_up_to,
 )

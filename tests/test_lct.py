@@ -35,34 +35,40 @@ G24 = GrassmannShape(2, 4)
 
 
 def test_build_lp_structure():
+    # beta row-major in 15 variables, then t; the objective is t, and each
+    # of the corners (1, 4), (2, 2), (3, 1) of (4, 2, 1) bounds t by its
+    # diagonal sum
     lam = Partition((4, 2, 1), GrassmannShape(3, 8))
     lp = build_lp(lam)
-    assert lp.n_vars == 15
-    assert [i for i, c in enumerate(lp.objective) if c] == [3, 9]
-    assert all(c in (0, 1) for c in lp.objective)
-    assert all(len(row) == 15 for row, _ in lp.constraints)
+    assert lp.n_vars == 16
+    assert lp.objective == [0] * 15 + [1]
+    assert all(len(row) == 16 for row, _ in lp.constraints)
+    assert len(lp.constraints) == 22 + 1 + 3
     monotone, volume, corners = lp.constraints[:22], lp.constraints[22], lp.constraints[23:]
     for row, rhs in monotone:
         assert rhs == 0
+        assert row[15] == 0
         assert sorted(c for c in row if c) == [-1, 1]
-    assert volume == ([1] * 15, 1)
-    first = [0, 0, 0, 1, 0, 0, -1, 0, 0, 1, 0, 0, -1, 0, 0]
-    second = [0, 0, 0, 0, 0, 0, 1, 0, 0, 0, -1, 0, 1, 0, 0]
-    assert corners == [
-        (first, 0),
-        ([-c for c in first], 0),
-        (second, 0),
-        ([-c for c in second], 0),
-    ]
+    assert volume == ([1] * 15 + [0], 1)
+
+    def corner_row(*diagonal):
+        return [-1 if v in diagonal else 0 for v in range(15)] + [1]
+
+    assert corners == [(corner_row(3, 9), 0), (corner_row(6, 12), 0), (corner_row(10), 0)]
 
 
 def test_one_phase_program_matches_two_phase_equation_form():
-    # the equality form solved by the general two-phase method gives the
-    # same status, value and vertex on every nonempty partition with n <= 8
+    # the equalized program solved by the general two-phase method has the
+    # same value and the same beta-vertex as the max-min program on every
+    # nonempty partition with n <= 8
     count = 0
     for shape in shapes_up_to(8):
         for lam in all_partitions(shape):
-            assert solve_max(build_lp(lam)) == two_phase_max(equation_form_lp(lam)), lam
+            solution = solve_max(build_lp(lam))
+            expected = two_phase_max(equation_form_lp(lam))
+            assert solution.status == expected.status == "optimal", lam
+            assert solution.value == expected.value, lam
+            assert solution.vertex[:-1] == expected.vertex, lam
             count += 1
     assert count == 466
 

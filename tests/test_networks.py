@@ -22,17 +22,19 @@ from schubert_arcs.networks import (
     _plucker_orders,
     essential_weighting,
     gamma0,
-    lindstrom_minor,
     plucker_ord,
     tropical_minor_order,
     weight_matrix,
 )
-from schubert_arcs.partitions import all_partitions, final_minor
+from schubert_arcs.partitions import all_partitions, final_minor, minor_of_multi_index
 from schubert_arcs.plane_partitions import all_plane_partitions, essential_profile
 from schubert_arcs.series import TruncatedSeries, big_cell_arc, format_arc_matrix, series_det
 
 from oracles import (
+    column_sweep_minor_order,
     grown_plane_partition,
+    lindstrom_minor,
+    path_weight,
     random_plane_partition,
     shapes_up_to,
     weight_matrix_by_paths,
@@ -169,12 +171,12 @@ def test_path_weight_of_an_unweighted_path_is_one():
     path = ((2, 3), (3, 2))
     assert path in net.paths(2, 2)
     wmat = [[TruncatedSeries.t_power(1, 8, coeff=3)] * 2] * 2
-    assert EssentialWeighting(G24, wmat).path_weight(path) == TruncatedSeries.one(8)
+    assert path_weight(EssentialWeighting(G24, wmat), path) == TruncatedSeries.one(8)
     wedge = TruncatedSeries.t_power(2, 8, coeff=5)
     weighted = EssentialWeighting(G24, wmat, extra_edges={path: wedge})
-    assert weighted.path_weight(path) == wedge
+    assert path_weight(weighted, path) == wedge
     two = ((2, 3), (2, 2), (2, 1), (3, 1))
-    assert weighted.path_weight(two) == TruncatedSeries.t_power(2, 8, coeff=9)
+    assert path_weight(weighted, two) == TruncatedSeries.t_power(2, 8, coeff=9)
 
 
 def test_essential_positions_on_the_staircase():
@@ -197,6 +199,9 @@ def test_weighting_shape_checked():
     wmat = [[TruncatedSeries.one(prec)] * 2] * 2
     with pytest.raises(ValueError):
         EssentialWeighting(G25, wmat)
+    w = essential_weighting(PlanePartition([[2, 1], [1, 0]], G24), 6)
+    with pytest.raises(ValueError):
+        weight_matrix(PlanarNetwork(G25), w)
 
 
 def test_infinite_entries_have_no_weighting():
@@ -226,6 +231,7 @@ def test_empty_minor_is_one():
     w = essential_weighting(beta, 8)
     assert lindstrom_minor(gamma0(G24), w, (), ()) == TruncatedSeries.one(8)
     assert tropical_minor_order(beta, (), ()) == 0
+    assert column_sweep_minor_order(beta, (), ()) == 0
 
 
 def test_tropical_order_matches_symbolic_minor():
@@ -242,6 +248,22 @@ def test_tropical_order_matches_symbolic_minor():
         cols = tuple(sorted(rng.sample(range(1, shape.cols + 1), size)))
         symbolic = lindstrom_minor(net, w, rows, cols).order()
         assert symbolic == tropical_minor_order(beta, rows, cols)
+
+
+def test_tropical_orders_match_the_column_sweep():
+    # The sweep walks no path family, so it checks the family minimum
+    # independently; Nash valuations bring infinite exponents.
+    rng = random.Random(22)
+    for shape in shapes_up_to(8):
+        betas = [random_plane_partition(shape, 3, rng) for _ in range(3)]
+        for lam in all_partitions(shape):
+            betas += nash_valuations(lam)
+        for beta in betas:
+            for entries in itertools.combinations(range(1, shape.n + 1), shape.k):
+                rows, cols = minor_of_multi_index(entries, shape)
+                expected = column_sweep_minor_order(beta, rows, cols)
+                assert tropical_minor_order(beta, rows, cols) == expected, (beta, rows, cols)
+                assert plucker_ord(beta, entries) == expected, (beta, entries)
 
 
 def test_final_minor_orders_recover_the_profile():

@@ -51,14 +51,11 @@ def pp(text, shape=G24):
 def test_infinity_saturates():
     assert INF + 3 == INF and 3 + INF == INF
     assert INF - 5 == INF and INF - INF == INF
-    assert INF * 2 == INF and 2 * INF == INF
     assert INF == INF and not INF < INF
     assert INF > 10**9 and 10**9 < INF
     assert min(INF, 4) == 4 and max(INF, 4) == INF
     with pytest.raises(ValueError):
         3 - INF
-    with pytest.raises(ValueError):
-        0 * INF
 
 
 def test_ext_tokens():
@@ -95,7 +92,6 @@ def test_basic_accessors():
     assert beta.height == 3
     assert beta.is_finite
     assert beta.at(1, 2) == 2
-    assert beta.ext(3, 1) == 0 and beta.ext(1, 3) == 0
     assert beta.add_box(2, 1).rows == ((3, 2), (2, 1))
     assert beta.add_box(1, 2).rows == ((3, 3), (1, 1))
     with pytest.raises(InvalidPlanePartition):
@@ -231,6 +227,8 @@ def test_floors_and_from_floors():
         from_floors([(Partition((1,), G24), 1), (mu, 1)], G24)
     with pytest.raises(ValueError):
         from_floors([(mu, 0)], G24)
+    with pytest.raises(ValueError):
+        from_floors([(mu, True)], G24)
 
 
 def test_floors_round_trip_random():
