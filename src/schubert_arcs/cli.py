@@ -8,8 +8,9 @@ JSON document (--json).  Exact rationals are always rendered as "p/q".
 Exit codes: 0 on success, 2 for invalid input, 3 when a computation runs
 out of series precision, 4 for internal invariant violations.
 
-Each handler imports the layers it uses, so a run loads only what its
-subcommand needs: the LP subcommands never load the series or network
+``main`` parses the shape and the --beta, --beta2, --lambda and --plucker
+values; each handler imports the layers it uses, so a run loads only what
+its subcommand needs: the LP subcommands never load the series or network
 stacks.
 """
 
@@ -18,8 +19,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .partitions import GrassmannShape
-from .plane_partitions import PrecisionExceeded
+from .partitions import GrassmannShape, parse_multi_index, parse_partition
+from .plane_partitions import PrecisionExceeded, parse_plane_partition
 
 
 def _frac(value) -> str:
@@ -37,21 +38,15 @@ def _ext_json(value):
     return format_ext(value) if isinstance(value, Infinity) else value
 
 
-def _shape(args) -> GrassmannShape:
-    return GrassmannShape(args.k, args.n)
-
-
 def cmd_lct(args):
     from .lct import arnold_witness
-    from .partitions import format_partition, parse_partition
+    from .partitions import format_partition
 
-    shape = _shape(args)
-    lam = parse_partition(args.lam, shape)
-    arnold, vertex = arnold_witness(lam)
+    arnold, vertex = arnold_witness(args.lam)
     payload = {
-        "k": shape.k,
-        "n": shape.n,
-        "lambda": format_partition(lam),
+        "k": args.k,
+        "n": args.n,
+        "lambda": format_partition(args.lam),
         "lct": _frac(1 / arnold),
         "arnold": _frac(arnold),
         "witness": [[_frac(e) for e in row] for row in vertex],
@@ -68,10 +63,9 @@ def cmd_lct_table(args):
     from .lct import arnold_witness
     from .partitions import all_partitions, format_partition
 
-    shape = _shape(args)
     rows = []
     plain = []
-    for lam in all_partitions(shape):
+    for lam in all_partitions(args.shape):
         arnold, vertex = arnold_witness(lam)
         value = _frac(1 / arnold)
         rows.append(
@@ -82,7 +76,7 @@ def cmd_lct_table(args):
             }
         )
         plain.append(f"{format_partition(lam)}: lct {value}")
-    return {"k": shape.k, "n": shape.n, "rows": rows}, plain
+    return {"k": args.k, "n": args.n, "rows": rows}, plain
 
 
 def cmd_profile(args):
@@ -99,11 +93,10 @@ def cmd_profile(args):
         parse_arc_matrix,
     )
 
-    shape = _shape(args)
     arc = parse_arc_matrix(args.arc, args.prec)
-    if (arc.nrows, arc.ncols) != (shape.k, shape.n):
+    if (arc.nrows, arc.ncols) != (args.k, args.n):
         raise ValueError(
-            f"arc matrix is {arc.nrows} x {arc.ncols}, expected {shape.k} x {shape.n}"
+            f"arc matrix is {arc.nrows} x {arc.ncols}, expected {args.k} x {args.n}"
         )
     translated = False
     try:
@@ -130,40 +123,30 @@ def cmd_profile(args):
 
 
 def cmd_order(args):
-    from .partitions import parse_multi_index, parse_partition
-    from .plane_partitions import format_ext, ord_schubert, parse_plane_partition
+    from .plane_partitions import format_ext, ord_schubert
 
-    shape = _shape(args)
-    beta = parse_plane_partition(args.beta, shape)
     if args.lam is not None:
-        lam = parse_partition(args.lam, shape)
-        value = ord_schubert(beta, lam)
+        value = ord_schubert(args.beta, args.lam)
     else:
         from .networks import plucker_ord
 
-        entries = parse_multi_index(args.plucker, shape)
-        value = plucker_ord(beta, entries)
+        value = plucker_ord(args.beta, args.plucker)
     return {"order": _ext_json(value)}, [f"order: {format_ext(value)}"]
 
 
 def cmd_nash_compare(args):
     from . import nash
-    from .plane_partitions import parse_plane_partition
 
-    shape = _shape(args)
-    beta = parse_plane_partition(args.beta, shape)
-    beta2 = parse_plane_partition(args.beta2, shape)
-    verdict = nash.compare(beta, beta2)
+    verdict = nash.compare(args.beta, args.beta2)
     payload = {"relation": verdict.relation, "witness": verdict.witness}
     return payload, [f"relation: {verdict.relation}", f"witness: {verdict.witness}"]
 
 
 def cmd_codim(args):
     from . import nash
-    from .plane_partitions import format_ext, parse_plane_partition
+    from .plane_partitions import format_ext
 
-    shape = _shape(args)
-    beta = parse_plane_partition(args.beta, shape)
+    beta = args.beta
     if not beta.is_finite:
         value = nash.codim(beta)
         return {"codim": _ext_json(value)}, [f"codim: {format_ext(value)}"]
@@ -179,14 +162,12 @@ def cmd_codim(args):
 
 def cmd_chain(args):
     from . import nash
-    from .plane_partitions import format_plane_partition, parse_plane_partition
+    from .plane_partitions import format_plane_partition
 
-    shape = _shape(args)
-    beta = parse_plane_partition(args.beta, shape)
-    chain = nash.codim_chain(beta)
+    chain = nash.codim_chain(args.beta)
     payload = {
         "length": len(chain) - 1,
-        "index_of_beta": chain.index(beta),
+        "index_of_beta": chain.index(args.beta),
         "chain": [format_plane_partition(step) for step in chain],
     }
     return payload, payload["chain"]
@@ -194,23 +175,19 @@ def cmd_chain(args):
 
 def cmd_nash_valuations(args):
     from . import nash
-    from .partitions import parse_partition
     from .plane_partitions import format_plane_partition
 
-    shape = _shape(args)
-    lam = parse_partition(args.lam, shape)
-    valuations = nash.nash_valuations(lam)
+    valuations = nash.nash_valuations(args.lam)
     formatted = [format_plane_partition(v) for v in valuations]
     return {"valuations": formatted}, [f"valuations: {len(formatted)}"] + formatted
 
 
 def cmd_sing(args):
     from . import nash
-    from .partitions import format_partition, parse_partition, singular_components
+    from .partitions import format_partition, singular_components
     from .plane_partitions import format_plane_partition
 
-    shape = _shape(args)
-    lam = parse_partition(args.lam, shape)
+    lam = args.lam
     components = singular_components(lam)
     valuations = nash.nash_valuations(lam) if lam else []
     payload = {
@@ -227,12 +204,9 @@ def cmd_sing(args):
 
 def cmd_generic_arc(args):
     from .networks import generic_arc
-    from .plane_partitions import parse_plane_partition
     from .series import format_arc_matrix
 
-    shape = _shape(args)
-    beta = parse_plane_partition(args.beta, shape)
-    arc = generic_arc(beta, precision=args.prec, seed=args.seed)
+    arc = generic_arc(args.beta, precision=args.prec, seed=args.seed)
     text = format_arc_matrix(arc)
     return {"arc": text, "precision": args.prec}, [text]
 
@@ -305,9 +279,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flags main parses, in the order their errors are reported
+_PARSED = (
+    ("beta", parse_plane_partition),
+    ("beta2", parse_plane_partition),
+    ("lam", parse_partition),
+    ("plucker", parse_multi_index),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        args.shape = GrassmannShape(args.k, args.n)
+        for name, parse in _PARSED:
+            text = getattr(args, name, None)
+            if text is not None:
+                setattr(args, name, parse(text, args.shape))
         payload, plain = args.handler(args)
     except PrecisionExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

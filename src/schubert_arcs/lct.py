@@ -107,6 +107,8 @@ def lct_rectangular(a: int, b: int, shape: GrassmannShape) -> Fraction:
     """Closed form for the threshold of a rectangular diagram (b^a):
     the minimum of (a+s)(b+s)/(s+1) as the rectangle grows diagonally."""
     k, c = shape.k, shape.cols
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"rectangle sides must be integers: {a!r} x {b!r}")
     if not (1 <= a <= k and 1 <= b <= c):
         raise ValueError(f"rectangle {a} x {b} does not fit in the {k} x {c} box")
     r = min(k - a, c - b)

@@ -156,7 +156,9 @@ class EssentialWeighting:
     """Weights on the essential positions of the staircase network.
 
     Built from a k x (n-k) matrix of series; every other edge and vertex
-    has weight one.  ``extra_edges`` allows weighting added diagonal edges.
+    has weight one.  ``extra_edges`` weights diagonal edges: each key must be
+    the edge ((a, b+1), (a+1, b)) of a diagonal tagged (a, b) in the box, or
+    ValueError is raised.  ``diagonals`` holds the tags of the weighted ones.
     """
 
     def __init__(self, shape: GrassmannShape, w_matrix, extra_edges=None):
@@ -165,8 +167,18 @@ class EssentialWeighting:
             raise ValueError(f"expected a {shape.k} x {shape.cols} weight matrix")
         self.shape = shape
         self.vertex_weights, self.edge_weights = _placement(shape, w_matrix)
+        self.diagonals = frozenset()
         if extra_edges:
+            tags = {
+                ((a, b + 1), (a + 1, b)): (a, b)
+                for a in range(1, shape.k + 1)
+                for b in range(1, shape.cols + 1)
+            }
+            for edge in extra_edges:
+                if edge not in tags:
+                    raise ValueError(f"extra edge {edge!r} is not a diagonal edge of {shape!r}")
             self.edge_weights.update(extra_edges)
+            self.diagonals = frozenset(tags[edge] for edge in extra_edges)
         some = next(iter(self.vertex_weights.values()), None) or next(
             iter(self.edge_weights.values())
         )
@@ -215,10 +227,14 @@ def weight_matrix(network: PlanarNetwork, weighting: EssentialWeighting) -> Seri
     over its out-edges, of the edge weight times the head's path sums.
     Only weights that exist are multiplied in and every sum starts from its
     first term, so the pass costs O(k c^2) series operations, c = n - k.
-    A weighting built for another shape raises ValueError.
+    A weighting built for another shape, or one that weights a diagonal the
+    network lacks, raises ValueError.
     """
     if weighting.shape != network.shape:
         raise ValueError(f"a weighting of {weighting.shape!r} on a network of {network.shape!r}")
+    if not weighting.diagonals <= network.diagonals:
+        missing = sorted(weighting.diagonals - network.diagonals)
+        raise ValueError(f"the weighting weights diagonals {missing} that {network!r} lacks")
     k, c = network.shape.k, network.shape.cols
     vertex_weights, edge_weights = weighting.vertex_weights, weighting.edge_weights
     one = TruncatedSeries.one(weighting.precision)

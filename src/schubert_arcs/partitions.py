@@ -13,7 +13,28 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 
-class GrassmannShape:
+class _Value:
+    """An immutable value: a subclass defines ``_args()``, the arguments that
+    rebuild it, and compares, hashes and pickles through them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self._args()
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._args() == other._args()
+
+    def __hash__(self) -> int:
+        return hash(self._args())
+
+
+class GrassmannShape(_Value):
     """Ambient shape: G(k, n) with 1 <= k < n. The box has k rows, n-k columns."""
 
     __slots__ = ("k", "n")
@@ -26,29 +47,18 @@ class GrassmannShape:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GrassmannShape is immutable")
-
-    def __reduce__(self):
-        return GrassmannShape, (self.k, self.n)
+    def _args(self) -> tuple:
+        return (self.k, self.n)
 
     @property
     def cols(self) -> int:
         return self.n - self.k
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.k == other.k and self.n == other.n
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.n))
-
     def __repr__(self) -> str:
         return f"GrassmannShape({self.k}, {self.n})"
 
 
-class Partition:
+class Partition(_Value):
     """A partition whose diagram fits in the box of ``shape``.
 
     Parts are ints, weakly decreasing; trailing zeros are stripped, so the
@@ -75,21 +85,8 @@ class Partition:
         object.__setattr__(self, "parts", cleaned)
         object.__setattr__(self, "shape", shape)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __reduce__(self):
-        return Partition, (self.parts, self.shape)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Partition)
-            and self.parts == other.parts
-            and self.shape == other.shape
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.parts, self.shape))
+    def _args(self) -> tuple:
+        return (self.parts, self.shape)
 
     def __repr__(self) -> str:
         return f"Partition({list(self.parts)}, {self.shape!r})"
@@ -126,7 +123,9 @@ class Partition:
 
 
 def all_partitions(shape: GrassmannShape, include_empty: bool = False) -> Iterator[Partition]:
-    """All partitions in the box, empty first, then by decreasing first part.
+    """All partitions in the box: the empty one first if ``include_empty``,
+    then by increasing first part, each followed by its extensions by
+    further rows, as (1), (1,1), (2), (2,1), (2,2) on G(2, 4).
 
     The box of G(k, n) holds binomial(n, k) of them in total.
     """
@@ -248,27 +247,15 @@ def rim_size(lam: Partition) -> int:
     Touching means sharing an edge or just a vertex with some diagram cell.
     Only defined when the diagram stays clear of the box boundary: at most
     k-1 parts, each at most n-k-1.  The empty partition is rejected, since
-    nothing touches it.
+    nothing touches it.  Otherwise lam and its rim fill the partition
+    (lam_1+1, lam_1+1, lam_2+1, ..., lam_l+1): the rim has lam_1 + l + 1 cells.
     """
     if not lam:
         raise ValueError("rim of the empty partition is undefined")
     k, c = lam.shape.k, lam.shape.cols
     if len(lam.parts) > k - 1 or lam.parts[0] > c - 1:
         raise ValueError(f"{lam!r} touches the box boundary; rim undefined")
-    inside = set(lam.cells())
-    count = 0
-    for i in range(1, k + 1):
-        for j in range(1, c + 1):
-            if (i, j) in inside:
-                continue
-            if any(
-                (i + di, j + dj) in inside
-                for di in (-1, 0, 1)
-                for dj in (-1, 0, 1)
-                if (di, dj) != (0, 0)
-            ):
-                count += 1
-    return count
+    return lam.parts[0] + len(lam.parts) + 1
 
 
 # -- Minor labels and their correspondence with multi-indexes ---------------

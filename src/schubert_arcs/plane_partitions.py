@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .partitions import GrassmannShape, Partition, schubert_conditions
+from .partitions import GrassmannShape, Partition, _Value, schubert_conditions
 
 
 class Infinity:
@@ -116,7 +116,7 @@ class InvalidPlanePartition(ValueError):
         self.cell = cell
 
 
-class PlanePartition:
+class PlanePartition(_Value):
     """An immutable plane partition in the box of ``shape``.
 
     The constructor validates, so every instance is genuinely weakly
@@ -149,11 +149,8 @@ class PlanePartition:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "shape", shape)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PlanePartition is immutable")
-
-    def __reduce__(self):
-        return PlanePartition, (self.rows, self.shape)
+    def _args(self) -> tuple:
+        return (self.rows, self.shape)
 
     @classmethod
     def zero(cls, shape: GrassmannShape) -> "PlanePartition":
@@ -190,16 +187,6 @@ class PlanePartition:
         rows = [list(row) for row in self.rows]
         rows[i - 1][j - 1] = entry + 1
         return PlanePartition(rows, self.shape)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PlanePartition)
-            and self.shape == other.shape
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.shape))
 
     def __repr__(self) -> str:
         return f"PlanePartition({format_plane_partition(self)!r}, {self.shape!r})"

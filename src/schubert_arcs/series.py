@@ -327,13 +327,10 @@ def invariant_factor_profile(arc: SeriesMatrix) -> PlanePartition:
         # every minor shares the arc's precision, so a lower bound is always
         # precision + 1 and loses to any exact order
         best = arc.precision + 1
-        for rows in combinations(range(k), s):
-            best = min(best, series_det(arc, rows, range(s)).order())
-            if best == 0:
-                break
         for b in range(1, c + 1):
-            if b > 1 and best:
-                new_col = k - a + b - 1
+            # new minors meet the new last column; at b = 1 they fill s columns
+            if best:
+                new_col = s + b - 2
                 for rows in combinations(range(k), s):
                     for old in combinations(range(new_col), s - 1):
                         best = min(best, series_det(arc, rows, old + (new_col,)).order())

@@ -5,13 +5,13 @@ are expanded over permutations in a separate series arithmetic on
 coefficient tuples, or by the library's former subset dynamic program,
 path sums and minors add up the weights of every listed path and path
 family, tropical minor orders come from a column sweep that lists
-neither, linear programs are solved by enumerating basic solutions, by
-the general two-phase simplex method on the equalized threshold program,
-or by brute-force search over integer plane partitions, singular loci
-are read off torus fixed points, the Pluecker orders of G(2, 4) come from
-their closed forms, big-cell membership is decided by series
-determinants rather than by constant terms, and plateau corners by
-scanning whole regions.
+neither, rims are counted cell by cell, linear programs are solved by
+enumerating basic solutions, by the general two-phase simplex method on
+the equalized threshold program, or by brute-force search over integer
+plane partitions, singular loci are read off torus fixed points, the
+Pluecker orders of G(2, 4) come from their closed forms, big-cell
+membership is decided by series determinants rather than by constant
+terms, and plateau corners by scanning whole regions.
 """
 
 import random
@@ -280,6 +280,29 @@ def naive_alpha(arc):
             )
         grid.append(tuple(row))
     return tuple(grid)
+
+
+# -- Rims by scanning the box ---------------------------------------------------
+
+
+def rim_size_by_scan(lam):
+    """Number of box cells outside lam that share an edge or a vertex with a
+    diagram cell, counted by testing the 8 neighbours of every box cell.
+    Meant for a lam clear of the box boundary, as rim_size requires."""
+    inside = set(lam.cells())
+    k, c = lam.shape.k, lam.shape.cols
+    return sum(
+        1
+        for i in range(1, k + 1)
+        for j in range(1, c + 1)
+        if (i, j) not in inside
+        and any(
+            (i + di, j + dj) in inside
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            if (di, dj) != (0, 0)
+        )
+    )
 
 
 # -- Minor labels and column slices ---------------------------------------------

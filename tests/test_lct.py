@@ -113,6 +113,10 @@ def test_rectangular_validates():
         lct_rectangular(3, 1, G24)
     with pytest.raises(ValueError):
         lct_rectangular(1, 3, G24)
+    # sides are ints: a bool is not taken for 1, nor a float compared
+    for a, b in [(True, True), (1.0, 1), (1, 2.0)]:
+        with pytest.raises(ValueError, match="rectangle sides must be integers"):
+            lct_rectangular(a, b, G24)
 
 
 def test_threshold_equals_codim_iff_small_rim():

@@ -204,6 +204,23 @@ def test_weighting_shape_checked():
         weight_matrix(PlanarNetwork(G25), w)
 
 
+def test_diagonal_weights_are_checked_not_dropped():
+    # an extra edge must be the diagonal ((a, b+1), (a+1, b)) of a tag (a, b)
+    # in the box, and the network must have every diagonal it weights
+    t = TruncatedSeries.t_power(1, 4)
+    wmat = [[t, t], [t, t]]
+    for edge in [((9, 9), (1, 1)), ((2, 3), (2, 2)), ((1, 3), (3, 1)), ((2, 1), (3, 0))]:
+        with pytest.raises(ValueError, match="not a diagonal edge"):
+            EssentialWeighting(G24, wmat, extra_edges={edge: t})
+    weighting = EssentialWeighting(G24, wmat, extra_edges={((2, 3), (3, 2)): 5 * t})
+    assert weighting.diagonals == {(2, 2)}
+    for tags in [(), [(1, 1)], [(1, 2), (2, 1)]]:
+        with pytest.raises(ValueError, match=r"weights diagonals \[\(2, 2\)\]"):
+            weight_matrix(PlanarNetwork(G24, diagonals=tags), weighting)
+    net = PlanarNetwork(G24, diagonals=[(1, 1), (2, 2)])
+    assert weight_matrix(net, weighting) == weight_matrix_by_paths(net, weighting)
+
+
 def test_infinite_entries_have_no_weighting():
     beta = PlanePartition([[INF, 1], [1, 0]], G24)
     with pytest.raises(ValueError):

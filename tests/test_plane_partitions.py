@@ -148,7 +148,9 @@ def test_plane_partitions_copy_and_pickle():
         ):
             assert type(twin) is PlanePartition
             assert twin == beta and hash(twin) == hash(beta)
-            with pytest.raises(AttributeError):
+            assert twin != beta._args() and twin != beta.shape
+            assert twin != Partition((), beta.shape)
+            with pytest.raises(AttributeError, match="PlanePartition is immutable"):
                 twin.rows = ()
 
 
