@@ -9,6 +9,11 @@ additions at plateau corners with positive fall, chained greedily.  On
 G(2, 4) the necessary conditions alone decide; elsewhere the gap between
 necessary and sufficient is genuine, so the combined verdict falls back to
 "unknown" rather than guessing.
+
+Off G(2, 4), compare tries the sufficient criteria before the necessary
+conditions.  Each criterion implies both conditions, so the verdict and its
+witness are those of the opposite order, and a certified pair costs a pass
+over the entries instead of a stream of Pluecker orders over path families.
 """
 
 from __future__ import annotations
@@ -156,28 +161,35 @@ def compare(beta: PlanePartition, beta2: PlanePartition) -> ContainmentVerdict:
     """Best available verdict on whether the closure of the first stratum
     contains the second.
 
-    One pass for every shape: the necessary conditions (Pluecker order,
-    then strict volume increase) can refute; on G(2, 4) their passing
-    decides containment; elsewhere the sufficient criteria (weight
-    exponents, then plateau chains) can confirm, and the remaining gap is
-    reported as "unknown".
+    Off G(2, 4) the sufficient criteria (weight exponents, then plateau
+    chains) are tried first, since they are cheap and either one implies
+    both necessary conditions: smaller weight exponents lower every path
+    family total, hence every Pluecker order, and make beta <= beta2
+    entrywise, so the volume strictly increases or both are infinite; a
+    plateau chain is a chain of strict containments.  Only when neither
+    applies are the Pluecker orders streamed, then the volumes compared
+    (see _refutation), and what they leave open is "unknown".  On G(2, 4)
+    the necessary conditions come first, because their passing is the
+    containment witness there.
     """
     shape = _same_shape(beta, beta2)
     if beta == beta2:
         return ContainmentVerdict("contains", "equal plane partitions")
+    g24 = (shape.k, shape.n) == (2, 4)
+    if not g24:
+        if sufficient_by_weight_exponents(beta, beta2):
+            return ContainmentVerdict("contains", "weight exponents compare entrywise")
+        chain = _plateau_chain(beta, beta2)
+        if chain is not None:
+            return ContainmentVerdict(
+                "contains", f"chain of {len(chain)} plateau box additions"
+            )
     refutation = _refutation(beta, beta2)
     if refutation is not None:
         return ContainmentVerdict("not-contains", refutation)
-    if (shape.k, shape.n) == (2, 4):
+    if g24:
         return ContainmentVerdict(
             "contains", "all six Pluecker orders compare, which decides G(2, 4)"
-        )
-    if sufficient_by_weight_exponents(beta, beta2):
-        return ContainmentVerdict("contains", "weight exponents compare entrywise")
-    chain = _plateau_chain(beta, beta2)
-    if chain is not None:
-        return ContainmentVerdict(
-            "contains", f"chain of {len(chain)} plateau box additions"
         )
     return ContainmentVerdict(
         "unknown", "necessary conditions hold but no sufficient criterion applies"

@@ -159,12 +159,17 @@ class EssentialWeighting:
     has weight one.  ``extra_edges`` weights diagonal edges: each key must be
     the edge ((a, b+1), (a+1, b)) of a diagonal tagged (a, b) in the box, or
     ValueError is raised.  ``diagonals`` holds the tags of the weighted ones.
+    Every weight, in the matrix and in ``extra_edges``, must be a
+    TruncatedSeries; anything else raises ValueError.
     """
 
     def __init__(self, shape: GrassmannShape, w_matrix, extra_edges=None):
         w_matrix = tuple(tuple(row) for row in w_matrix)
         if len(w_matrix) != shape.k or any(len(row) != shape.cols for row in w_matrix):
             raise ValueError(f"expected a {shape.k} x {shape.cols} weight matrix")
+        for w in [w for row in w_matrix for w in row] + list((extra_edges or {}).values()):
+            if not isinstance(w, TruncatedSeries):
+                raise ValueError(f"weights must be TruncatedSeries: {w!r}")
         self.shape = shape
         self.vertex_weights, self.edge_weights = _placement(shape, w_matrix)
         self.diagonals = frozenset()

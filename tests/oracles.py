@@ -11,7 +11,9 @@ the equalized threshold program, or by brute-force search over integer
 plane partitions, singular loci are read off torus fixed points, the
 Pluecker orders of G(2, 4) come from their closed forms, big-cell
 membership is decided by series determinants rather than by constant
-terms, and plateau corners by scanning whole regions.
+terms, plateau corners by scanning whole regions, and containment
+verdicts with the necessary conditions first: the Pluecker orders of
+every pair are streamed, and only unrefuted pairs are certified.
 """
 
 import random
@@ -35,6 +37,13 @@ from schubert_arcs import (
     weight_exponents,
 )
 from schubert_arcs.lct import _var
+from schubert_arcs.nash import (
+    ContainmentVerdict,
+    _plateau_chain,
+    _refutation,
+    _same_shape,
+    sufficient_by_weight_exponents,
+)
 from schubert_arcs.partitions import schubert_conditions
 from schubert_arcs.plane_partitions import _diagonal_positions, ord_schubert
 from schubert_arcs.simplex import LPSolution
@@ -814,6 +823,41 @@ def g24_orders(beta):
         (2, 4): b22,
         (3, 4): 0,
     }
+
+
+# -- Containment verdicts, refutation first -------------------------------------
+
+
+def compare_refutation_first(beta, beta2):
+    """Best available verdict on whether the closure of the first stratum
+    contains the second.
+
+    One pass for every shape: the necessary conditions (Pluecker order,
+    then strict volume increase) can refute; on G(2, 4) their passing
+    decides containment; elsewhere the sufficient criteria (weight
+    exponents, then plateau chains) can confirm, and the remaining gap is
+    reported as "unknown".
+    """
+    shape = _same_shape(beta, beta2)
+    if beta == beta2:
+        return ContainmentVerdict("contains", "equal plane partitions")
+    refutation = _refutation(beta, beta2)
+    if refutation is not None:
+        return ContainmentVerdict("not-contains", refutation)
+    if (shape.k, shape.n) == (2, 4):
+        return ContainmentVerdict(
+            "contains", "all six Pluecker orders compare, which decides G(2, 4)"
+        )
+    if sufficient_by_weight_exponents(beta, beta2):
+        return ContainmentVerdict("contains", "weight exponents compare entrywise")
+    chain = _plateau_chain(beta, beta2)
+    if chain is not None:
+        return ContainmentVerdict(
+            "contains", f"chain of {len(chain)} plateau box additions"
+        )
+    return ContainmentVerdict(
+        "unknown", "necessary conditions hold but no sufficient criterion applies"
+    )
 
 
 # -- Random inputs --------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Containment verdicts, discrepancy data, box chains, Nash valuations."""
 
+import collections
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from schubert_arcs import (
     INF,
     ContainmentVerdict,
     GrassmannShape,
+    Infinity,
     PlanePartition,
     all_plane_partitions,
     codim,
@@ -25,7 +27,13 @@ from schubert_arcs import (
 )
 from schubert_arcs.partitions import Partition, all_partitions, format_multi_index
 
-from oracles import g24_orders, random_plane_partition, shapes_up_to
+from oracles import (
+    compare_refutation_first,
+    g24_orders,
+    grown_plane_partition,
+    random_plane_partition,
+    shapes_up_to,
+)
 
 G24 = GrassmannShape(2, 4)
 G25 = GrassmannShape(2, 5)
@@ -161,6 +169,65 @@ def test_plateau_never_fires_alongside_refutation():
             assert compare(beta, beta2).relation == "not-contains"
 
 
+def test_compare_matches_refutation_first_exhaustively():
+    # every ordered pair of three small sweeps: trying the certificates
+    # before the Pluecker orders changes no verdict and no witness
+    pairs = 0
+    for k, n, h in [(2, 5, 2), (3, 5, 2), (3, 6, 1)]:
+        betas = list(all_plane_partitions(GrassmannShape(k, n), h))
+        for beta, beta2 in itertools.product(betas, repeat=2):
+            assert compare(beta, beta2) == compare_refutation_first(beta, beta2), (beta, beta2)
+            pairs += 1
+    assert pairs == 50 * 50 + 50 * 50 + 20 * 20
+
+
+def with_inf_corner(beta, lam):
+    """beta with inf on the cells of the partition lam."""
+    shape = beta.shape
+    rows = [
+        [INF if lam.has_cell(i, j) else beta.at(i, j) for j in range(1, shape.cols + 1)]
+        for i in range(1, shape.k + 1)
+    ]
+    return PlanePartition(rows, shape)
+
+
+def test_compare_matches_refutation_first_with_inf_corners():
+    # seeded random and grown pairs on G(3, 6) to G(4, 8), every other
+    # group of four with an inf north-west corner; 576 ordered pairs
+    rng = random.Random(15)
+    shapes = [G36, GrassmannShape(3, 7), GrassmannShape(4, 7), GrassmannShape(4, 8)]
+    kinds = collections.Counter()
+    for trial in range(96):
+        shape = shapes[trial % len(shapes)]
+        corners = list(all_partitions(shape))
+        lam = rng.choice(corners) if trial // 4 % 2 else Partition((), shape)
+        beta = with_inf_corner(random_plane_partition(shape, 2, rng), lam)
+        grown = grown_plane_partition(beta, rng.randint(1, 4), rng)
+        wider = with_inf_corner(grown, rng.choice([lam, rng.choice(corners)]))
+        other = with_inf_corner(random_plane_partition(shape, 2, rng), rng.choice(corners))
+        for beta2 in (grown, wider, other):
+            for a, b in ((beta, beta2), (beta2, beta)):
+                verdict = compare(a, b)
+                assert verdict == compare_refutation_first(a, b), (a, b)
+                kinds[verdict.witness.split()[0], isinstance(a.volume, Infinity)] += 1
+    # each kind of witness, from finite and from infinite first arguments
+    assert {kind for kind, _ in kinds} == {"equal", "order", "weight", "chain", "necessary"}
+    assert kinds["weight", True] and kinds["order", True] and kinds["necessary", True]
+
+
+def test_certified_pairs_stream_no_plucker_order(monkeypatch):
+    def no_orders(beta):
+        raise AssertionError("a certified pair must not stream Pluecker orders")
+
+    monkeypatch.setattr("schubert_arcs.nash._plucker_orders", no_orders)
+    assert compare(
+        pp("1 0 0; 0 0 0; 0 0 0", G36), pp("2 1 0; 1 0 0; 0 0 0", G36)
+    ) == ContainmentVerdict("contains", "weight exponents compare entrywise")
+    assert compare(
+        pp("1 1 0; 1 0 0; 0 0 0", G36), pp("1 1 1; 1 1 0; 1 0 0", G36)
+    ) == ContainmentVerdict("contains", "chain of 3 plateau box additions")
+
+
 def test_plateau_requires_strict_growth():
     beta = pp("1 1; 1 0", G24)
     assert not sufficient_by_plateau(beta, beta)
@@ -267,7 +334,9 @@ def test_nash_strata_cover_the_singular_arcs_of_g36():
     # covering side: a stratum of arcs in X_lam (inf exactly on lam, finite
     # entries at most 2 elsewhere) whose center contains a singular
     # component mu is never refuted to lie in the closure of that
-    # component's Nash stratum; most are proved to
+    # component's Nash stratum; most are proved to.  The verdicts equal
+    # those of the refutation-first order, which streams the Pluecker
+    # orders of certified pairs too, so those are never refuted either
     strata, contained = 0, 0
     for lam in all_partitions(G36):
         components = singular_components(lam)
@@ -284,9 +353,12 @@ def test_nash_strata_cover_the_singular_arcs_of_g36():
         }
         for beta in betas:
             center = home_center(beta)[1]
-            relations = [compare(nash[mu], beta).relation for mu in components if center.contains(mu)]
-            if not relations:
+            mus = [mu for mu in components if center.contains(mu)]
+            if not mus:
                 continue
+            verdicts = [compare(nash[mu], beta) for mu in mus]
+            assert verdicts == [compare_refutation_first(nash[mu], beta) for mu in mus], beta
+            relations = [verdict.relation for verdict in verdicts]
             strata += 1
             assert "not-contains" not in relations, beta
             contained += "contains" in relations

@@ -204,6 +204,18 @@ def test_weighting_shape_checked():
         weight_matrix(PlanarNetwork(G25), w)
 
 
+def test_weights_must_be_series():
+    # a float, bool or int weight, in the matrix or on a diagonal edge, is
+    # rejected by the constructor, before weight_matrix multiplies with it
+    t = TruncatedSeries.t_power(1, 4)
+    for bad in (1.5, True, 3):
+        for wmat in ([[bad, t], [t, t]], [[t, t], [t, bad]]):
+            with pytest.raises(ValueError, match="weights must be TruncatedSeries"):
+                EssentialWeighting(G24, wmat)
+        with pytest.raises(ValueError, match="weights must be TruncatedSeries"):
+            EssentialWeighting(G24, [[t, t], [t, t]], extra_edges={((2, 3), (3, 2)): bad})
+
+
 def test_diagonal_weights_are_checked_not_dropped():
     # an extra edge must be the diagonal ((a, b+1), (a+1, b)) of a tag (a, b)
     # in the box, and the network must have every diagonal it weights
