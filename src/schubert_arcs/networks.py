@@ -230,8 +230,11 @@ def weight_matrix(network: PlanarNetwork, weighting: EssentialWeighting) -> Seri
     down to 1, columns from 1 to c+1, each vertex keeps its path sums to
     every sink it reaches, and those are its vertex weight times the sum,
     over its out-edges, of the edge weight times the head's path sums.
-    Only weights that exist are multiplied in and every sum starts from its
-    first term, so the pass costs O(k c^2) series operations, c = n - k.
+    Only weights that exist are multiplied in, a path sum that is still the
+    empty product takes the first weight as it is, and every sum starts
+    from its first term, so the pass costs O(k c^2) series operations,
+    c = n - k.  The entries share the least precision among them, at most
+    the weighting's, since the weight that sets that lies on some path.
     A weighting built for another shape, or one that weights a diagonal the
     network lacks, raises ValueError.
     """
@@ -242,6 +245,7 @@ def weight_matrix(network: PlanarNetwork, weighting: EssentialWeighting) -> Seri
         raise ValueError(f"the weighting weights diagonals {missing} that {network!r} lacks")
     k, c = network.shape.k, network.shape.cols
     vertex_weights, edge_weights = weighting.vertex_weights, weighting.edge_weights
+    # the empty product, told apart by identity: a weight times it is the weight
     one = TruncatedSeries.one(weighting.precision)
     sums = {(k + 1, j): {j: one} for j in range(1, c + 1)}
     for r in range(k, 0, -1):
@@ -257,10 +261,10 @@ def weight_matrix(network: PlanarNetwork, weighting: EssentialWeighting) -> Seri
                 w = edge_weights.get((tail, head))
                 for j, s in sums[head].items():
                     if w is not None:
-                        s = w * s
+                        s = w if s is one else w * s
                     total[j] = total[j] + s if j in total else s
             w = vertex_weights.get(tail)
-            sums[tail] = total if w is None else {j: w * s for j, s in total.items()}
+            sums[tail] = total if w is None else {j: w if s is one else w * s for j, s in total.items()}
     return SeriesMatrix([[sums[(i, c + 1)][j] for j in range(1, c + 1)] for i in range(1, k + 1)])
 
 

@@ -319,13 +319,25 @@ def final_multi_index(shape: GrassmannShape, a: int, b: int) -> tuple[int, ...]:
 # -- Text formats ------------------------------------------------------------
 
 
+def _read_natural(token: str) -> int:
+    """The int written by a run of ASCII digits, spaces around it allowed;
+    anything else raises ValueError.  Partition parts, plane partition
+    entries, multi-index entries and series exponents are read here, and
+    series coefficients match the same digit runs: ``int`` alone would also
+    take "1_0", "+2" and non-ASCII digits such as "\u0663"."""
+    digits = token.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a run of digits: {token!r}")
+    return int(digits)
+
+
 def parse_partition(text: str, shape: GrassmannShape) -> Partition:
     """Parse "3,1,1"; blank or "0" gives the empty partition."""
     text = text.strip()
     if text in ("", "0"):
         return Partition((), shape)
     try:
-        parts = [int(p) for p in text.split(",")]
+        parts = [_read_natural(p) for p in text.split(",")]
     except ValueError:
         raise ValueError(f"cannot parse partition from {text!r}") from None
     return Partition(parts, shape)
@@ -341,7 +353,7 @@ def parse_multi_index(text: str, shape: GrassmannShape) -> tuple[int, ...]:
     if text.startswith("[") and text.endswith("]"):
         text = text[1:-1]
     try:
-        entries = tuple(int(p) for p in text.split(","))
+        entries = tuple(_read_natural(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse multi-index from {text!r}") from None
     return _check_multi_index(entries, shape)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .partitions import GrassmannShape, Partition, _Value, schubert_conditions
+from .partitions import GrassmannShape, Partition, _read_natural, _Value, schubert_conditions
 
 
 class Infinity:
@@ -80,12 +80,9 @@ def parse_ext(token: str) -> ExtNat:
     if token == "inf":
         return INF
     try:
-        value = int(token)
+        return _read_natural(token)
     except ValueError:
         raise ValueError(f"expected a non-negative integer or 'inf', got {token!r}") from None
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer or 'inf', got {token!r}")
-    return value
 
 
 def format_ext(value: ExtNat) -> str:

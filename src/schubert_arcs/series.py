@@ -20,8 +20,9 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
-from .partitions import GrassmannShape, _check_multi_index, final_multi_index
+from .partitions import GrassmannShape, _check_multi_index, _read_natural, final_multi_index
 from .plane_partitions import PlanePartition, PrecisionExceeded, essential_profile, from_essential
 
 
@@ -109,10 +110,14 @@ class TruncatedSeries:
         """coeff * t^exponent; exponents beyond the precision leave zero."""
         if exponent < 0:
             raise ValueError("negative exponents are not representable")
+        if precision < 0:
+            raise ValueError(f"negative precision {precision}")
+        if type(coeff) not in _EXACT:
+            raise ValueError(f"series coefficients must be ints or Fractions: {coeff!r}")
         coeffs = [0] * (precision + 1)
         if exponent <= precision:
             coeffs[exponent] = coeff
-        return cls(coeffs)
+        return cls._of(tuple(coeffs))
 
     def truncate(self, precision: int) -> "TruncatedSeries":
         if precision < 0:
@@ -204,6 +209,17 @@ class SeriesMatrix:
         self.nrows = len(entries)
         self.ncols = len(entries[0])
 
+    @classmethod
+    def _of(cls, entries: tuple) -> "SeriesMatrix":
+        """The matrix on a non-empty tuple of equally long row tuples of
+        series of one precision, stored without a copy or a check: matrices
+        assembled from checked series are built here."""
+        matrix = object.__new__(cls)
+        matrix.entries = entries
+        matrix.nrows = len(entries)
+        matrix.ncols = len(entries[0])
+        return matrix
+
     @property
     def precision(self) -> int:
         return self.entries[0][0].precision
@@ -223,29 +239,37 @@ def big_cell_arc(affine: SeriesMatrix) -> SeriesMatrix:
     the k x k matrix with units on the antidiagonal."""
     k = affine.nrows
     prec = affine.precision
+    zero, one = TruncatedSeries.zero(prec), TruncatedSeries.one(prec)
     rows = []
     for i, row in enumerate(affine.entries):
-        pad = [TruncatedSeries.zero(prec)] * k
-        pad[k - 1 - i] = TruncatedSeries.one(prec)
-        rows.append(list(row) + pad)
-    return SeriesMatrix(rows)
+        pad = [zero] * k
+        pad[k - 1 - i] = one
+        rows.append(row + tuple(pad))
+    return SeriesMatrix._of(tuple(rows))
 
 
 def series_det(matrix: SeriesMatrix, rows, cols) -> TruncatedSeries:
     """Determinant of the square submatrix on ``rows`` x ``cols`` (0-based),
     in any order and with repeats.
 
-    Subset dynamic programming: the minor on the first r+1 rows and a set of
-    r+1 column positions is expanded along row r into the minors of size r,
-    so O(2^s s) series products.
+    A minor of size 1 is its entry and one of size 2 is ad - bc.  Larger
+    minors use subset dynamic programming: the minor on the first r+1 rows
+    and a set of r+1 column positions is expanded along row r into the
+    minors of size r, so O(2^s s) series products.
     """
     rows, cols = tuple(rows), tuple(cols)
     s = len(rows)
     if s != len(cols):
         raise ValueError("determinant needs a square submatrix")
+    entry = matrix.entries
+    if s == 1:
+        return entry[rows[0]][cols[0]]
+    if s == 2:
+        top, bottom = entry[rows[0]], entry[rows[1]]
+        left, right = cols
+        return top[left] * bottom[right] - top[right] * bottom[left]
     if s == 0:
         return TruncatedSeries.one(matrix.precision)
-    entry = matrix.entries
     sub = [[entry[r][c] for c in cols] for r in rows]
     # minors of the rows so far, keyed by their increasing column positions
     minors = {(j,): e for j, e in enumerate(sub[0])}
@@ -265,21 +289,40 @@ def series_det(matrix: SeriesMatrix, rows, cols) -> TruncatedSeries:
     return minors[tuple(range(s))]
 
 
+def _integral_rows(const) -> list[list[int]]:
+    """The rows of a matrix of ints and Fractions, each multiplied by the
+    least common multiple of its denominators: ints only, and the same rank."""
+    rows = []
+    for row in const:
+        if all(type(x) is int for x in row):
+            rows.append(list(row))
+        else:
+            d = lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (d // x.denominator) for x in row])
+    return rows
+
+
 def _rank_of_constant_term(const) -> int:
-    """Rank over Q of a matrix of constant terms, by Gauss-Jordan elimination."""
-    rows = [[Fraction(c) for c in row] for row in const]
-    rank = 0
+    """Rank over Q of a matrix of constant terms, by fraction-free
+    elimination (Bareiss, Math. Comp. 1968) on its denominator-free rows.
+
+    Each step replaces the rows below the pivot row by cross-multiplied
+    differences divided by the previous pivot; the division is exact, as
+    every entry is then a minor of the cleared matrix, so only ints arise.
+    """
+    rows = _integral_rows(const)
+    rank, previous = 0, 1
     for col in range(len(rows[0])):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        p = top[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            rows[r] = [(p * x - f * y) // previous for x, y in zip(rows[r], top)]
+        previous = p
         rank += 1
         if rank == len(rows):
             break
@@ -391,7 +434,8 @@ def borel_translate(arc: SeriesMatrix, seed: int = 0) -> SeriesMatrix:
     so profiles computed after translation are profiles of the original arc.
     """
     k, n = arc.nrows, arc.ncols
-    const = arc.constant_term()
+    # cleared rows span the same row space, so every block below is of ints
+    const = _integral_rows(arc.constant_term())
     if _rank_of_constant_term(const) < k:
         raise NotAnArc("no maximal minor is a unit")
     rng = random.Random(seed)
@@ -424,7 +468,7 @@ def borel_translate(arc: SeriesMatrix, seed: int = 0) -> SeriesMatrix:
 # -- Text format -------------------------------------------------------------
 
 _TERM = re.compile(
-    r"(?P<coef>\d+(?:/\d+)?)?\s*\*?\s*(?P<t>t(?:\^(?P<exp>\d+))?)?\s*"
+    r"(?P<coef>[0-9]+(?:/[0-9]+)?)?\s*\*?\s*(?P<t>t(?:\^(?P<exp>[0-9]+))?)?\s*"
 )
 
 
@@ -448,7 +492,7 @@ def parse_series(text: str, precision: int) -> TruncatedSeries:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in series {text!r}") from None
         if m.group("t"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
+            exp = _read_natural(m.group("exp")) if m.group("exp") else 1
         else:
             exp = 0
         if exp <= precision:

@@ -11,7 +11,9 @@ the equalized threshold program, or by brute-force search over integer
 plane partitions, singular loci are read off torus fixed points, the
 Pluecker orders of G(2, 4) come from their closed forms, big-cell
 membership is decided by series determinants rather than by constant
-terms, plateau corners by scanning whole regions, and containment
+terms, ranks of constant terms by Gauss-Jordan elimination in Fractions,
+generic arcs are assembled from path sums through the checking
+constructors, plateau corners by scanning whole regions, and containment
 verdicts with the necessary conditions first: the Pluecker orders of
 every pair are streamed, and only unrefuted pairs are certified.
 """
@@ -37,6 +39,7 @@ from schubert_arcs import (
     weight_exponents,
 )
 from schubert_arcs.lct import _var
+from schubert_arcs.networks import EssentialWeighting, _unit_matrix, gamma0
 from schubert_arcs.nash import (
     ContainmentVerdict,
     _plateau_chain,
@@ -154,6 +157,30 @@ def lindstrom_minor(network, weighting, sources, sinks):
             prod = prod * path_weight(weighting, path)
         acc = acc + prod
     return acc
+
+
+def generic_arc_by_paths(beta, precision=16, seed=None):
+    """generic_arc of a finite plane partition, with every series and
+    matrix built through the checking constructors and the affine block
+    summed over listed paths."""
+    shape = beta.shape
+    exps, units = weight_exponents(beta), _unit_matrix(shape, seed)
+    w = []
+    for i in range(shape.k):
+        row = []
+        for j in range(shape.cols):
+            coeffs = [0] * (precision + 1)
+            if exps[i][j] <= precision:
+                coeffs[exps[i][j]] = units[i][j]
+            row.append(TruncatedSeries(coeffs))
+        w.append(row)
+    affine = weight_matrix_by_paths(gamma0(shape), EssentialWeighting(shape, w))
+    rows = []
+    for i, row in enumerate(affine.entries):
+        pad = [TruncatedSeries([0], precision) for _ in range(shape.k)]
+        pad[shape.k - 1 - i] = TruncatedSeries([1], precision)
+        rows.append(list(row) + pad)
+    return SeriesMatrix(rows)
 
 
 # -- Tropical minors by a column sweep -------------------------------------------
@@ -365,6 +392,31 @@ def column_slice(matrix, ncols):
 
 
 # -- Big-cell membership by series determinants ---------------------------------
+
+
+def rank_by_gauss_jordan(const) -> int:
+    """Rank over Q of a matrix of constant terms, by Gauss-Jordan elimination.
+
+    The library's rank of a constant term as it was before it cleared
+    denominators and eliminated fraction-free.
+    """
+    rows = [[Fraction(c) for c in row] for row in const]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = 1 / rows[rank][col]
+        rows[rank] = [x * inv for x in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
 
 
 def _has_unit_maximal_minor(arc):

@@ -120,6 +120,51 @@ def test_volume_witness_on_g36():
     )
 
 
+def diagonal_move(beta, i, j):
+    """beta with one box moved from (i, j) to (i+1, j+1), or None when the
+    result is no plane partition."""
+    rows = [list(row) for row in beta.rows]
+    rows[i - 1][j - 1] -= 1
+    rows[i][j] += 1
+    try:
+        return PlanePartition(rows, beta.shape)
+    except ValueError:
+        return None
+
+
+def test_volume_witnesses_on_larger_shapes():
+    # Equal volumes with comparable Pluecker orders are rare: on G(3, 6) of
+    # height 3, 2 of 58,244 ordered equal-volume pairs.  Among all one-box
+    # moves on G(3, 6) of height 4 only moves down the diagonal end there,
+    # so the search moves boxes that way in staircases (entry h - i - j + 2,
+    # clipped at 0) grown by a few random boxes, on G(3, 7) to G(4, 8); the
+    # seed finds 8 such pairs, on every shape.
+    rng = random.Random(31)
+    shapes = [GrassmannShape(3, 7), GrassmannShape(4, 7), GrassmannShape(4, 8)]
+    found = collections.Counter()
+    for trial in range(600):
+        shape = shapes[trial % len(shapes)]
+        height = rng.randint(2, 4)
+        stair = PlanePartition(
+            [[max(0, height - i - j) for j in range(shape.cols)] for i in range(shape.k)], shape
+        )
+        beta = grown_plane_partition(stair, rng.randint(0, 4), rng)
+        for i, j in itertools.product(range(1, shape.k), range(1, shape.cols)):
+            beta2 = diagonal_move(beta, i, j)
+            if beta2 is None:
+                continue
+            verdict = compare(beta, beta2)
+            assert verdict == compare_refutation_first(beta, beta2), (beta, beta2)
+            if verdict.witness.startswith("volume"):
+                assert plucker_leq(beta, beta2)
+                vol = beta.volume
+                assert verdict == ContainmentVerdict(
+                    "not-contains", f"volume must strictly increase: {vol} vs {vol}"
+                )
+                found[shape] += 1
+    assert len(found) == 3 and sum(found.values()) >= 8, found
+
+
 def test_weight_exponent_witness():
     zero = PlanePartition.zero(G25)
     beta = pp("1 1 0; 1 1 0", G25)

@@ -1,7 +1,9 @@
 """Planar networks: path counts, Lindstrom expansions, tropical orders."""
 
+import hashlib
 import itertools
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -27,11 +29,12 @@ from schubert_arcs.networks import (
     weight_matrix,
 )
 from schubert_arcs.partitions import all_partitions, final_minor, minor_of_multi_index
-from schubert_arcs.plane_partitions import all_plane_partitions, essential_profile
+from schubert_arcs.plane_partitions import all_plane_partitions, diagonal_sum, essential_profile
 from schubert_arcs.series import TruncatedSeries, big_cell_arc, format_arc_matrix, series_det
 
 from oracles import (
     column_sweep_minor_order,
+    generic_arc_by_paths,
     grown_plane_partition,
     lindstrom_minor,
     path_weight,
@@ -150,6 +153,30 @@ def test_weight_matrix_with_diagonals_matches_path_enumeration():
         }
         w = EssentialWeighting(shape, wmat, extra_edges=extra)
         assert weight_matrix(net, w) == weight_matrix_by_paths(net, w), (shape, diagonals)
+
+
+def test_weight_matrix_with_mixed_precisions():
+    # Weights at precisions 5 to 12: every entry is known to the smallest
+    # one, as the path sums are.  The first vertex weight, whose precision
+    # the weighting reports, is the finest, and the empty product that
+    # starts each sink's sums never sets the precision.
+    shape = GrassmannShape(3, 6)
+    rng = random.Random(13)
+    wmat = [
+        [
+            TruncatedSeries.t_power(rng.randint(0, 2), rng.choice((6, 9, 12)), coeff=rng.randint(1, 9))
+            for _ in range(3)
+        ]
+        for _ in range(3)
+    ]
+    wmat[0][0] = TruncatedSeries.t_power(1, 12, coeff=Fraction(3, 2))
+    wmat[2][1] = TruncatedSeries.t_power(2, 5, coeff=-4)
+    weighting = EssentialWeighting(shape, wmat)
+    assert weighting.precision == 12
+    got = weight_matrix(gamma0(shape), weighting)
+    assert got == weight_matrix_by_paths(gamma0(shape), weighting)
+    assert got.precision == 5
+    assert {e.precision for row in got.entries for e in row} == {5}
 
 
 def test_path_sums_list_no_path(monkeypatch):
@@ -372,6 +399,39 @@ def test_generic_arc_frozen_text():
     arc = generic_arc(beta, seed=None)
     assert format_arc_matrix(arc) == "t^2+t^3, t^2, 0, 1; t^2, t, 1, 0"
     assert invariant_factor_profile(arc) == beta
+
+
+def _generic_arc_inputs():
+    """Every G(2, 4) plane partition of height at most 3, then seeded ones
+    on G(3, 6) to G(5, 10); each with every unit 1 and with seeded units."""
+    rng = random.Random(16)
+    for beta in all_plane_partitions(G24, 3):
+        yield beta, None
+        yield beta, rng.randrange(10**6)
+    for k in (3, 4, 5):
+        shape = GrassmannShape(k, 2 * k)
+        for height in (1, 2, 3, 4):
+            beta = random_plane_partition(shape, height, rng)
+            yield beta, None
+            yield beta, rng.randrange(10**6)
+
+
+def test_generic_arc_matches_the_checked_assembly():
+    # generic_arc builds its arc from parts it has checked, without the
+    # constructors' checks; the text is the one written by the arc built
+    # through those constructors from listed paths, and hashes to the digest
+    # the library gave before it skipped the checks
+    texts = []
+    for beta, seed in _generic_arc_inputs():
+        precision = diagonal_sum(beta, 1, 1) + 1
+        arc = generic_arc(beta, precision, seed)
+        reference = generic_arc_by_paths(beta, precision, seed)
+        assert arc == reference and arc.precision == precision, (beta, seed)
+        texts.append(format_arc_matrix(arc))
+        assert texts[-1] == format_arc_matrix(reference)
+    assert len(texts) == 2 * 50 + 24
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "7e47615e90cee4e735c1e4428d37a746f6834b6b4ea0a3ef0fed290a2fd34d62"
 
 
 def test_generic_arc_of_zero_stratum():

@@ -1,8 +1,11 @@
 """Text parsers: malformed input of any kind raises ValueError and nothing
 else, and parsing what a formatter wrote gives back the same value."""
 
+import contextlib
+import io
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -14,13 +17,14 @@ from schubert_arcs import (
     SeriesMatrix,
     TruncatedSeries,
 )
+from schubert_arcs.cli import main
 from schubert_arcs.partitions import (
     format_multi_index,
     format_partition,
     parse_multi_index,
     parse_partition,
 )
-from schubert_arcs.plane_partitions import format_plane_partition, parse_plane_partition
+from schubert_arcs.plane_partitions import format_plane_partition, parse_ext, parse_plane_partition
 from schubert_arcs.series import (
     format_arc_matrix,
     format_series,
@@ -57,6 +61,44 @@ def test_parsers_return_or_raise_value_error(text):
             parse(text)
         except ValueError:
             pass
+
+
+# whole numbers in Python literal syntax that int() reads but no format writes
+LITERAL_ONLY = ("1_0", "+2", "\u0663", "\uff11", "0x1", "1.0", "-0")
+
+
+@pytest.mark.parametrize("token", LITERAL_ONLY)
+def test_numbers_are_ascii_digit_runs(token):
+    cases = [
+        lambda: parse_ext(token),
+        lambda: parse_plane_partition(f"{token} 0; 0 0", G24),
+        lambda: parse_partition(f"2,{token}", G24),
+        lambda: parse_multi_index(f"[{token},3]", G24),
+        lambda: parse_series(f"t^{token}", 6),
+        lambda: parse_series(f"1/{token}*t", 6),
+    ]
+    if token[0] not in "+-":
+        # a leading sign is the series' own
+        cases.append(lambda: parse_series(f"{token}*t", 6))
+    for parse in cases:
+        with pytest.raises(ValueError):
+            parse()
+
+
+def test_digit_runs_keep_their_spaces_and_leading_zeros():
+    assert parse_ext(" 03 ") == 3
+    assert parse_plane_partition(" 2  1 ;1 0 ", G24) == PlanePartition([[2, 1], [1, 0]], G24)
+    assert parse_partition("2, 1", G24) == Partition([2, 1], G24)
+    assert parse_multi_index("[ 1, 04]", G24) == (1, 4)
+    assert parse_series("07*t^02", 3) == TruncatedSeries([0, 0, 7, 0])
+
+
+def test_literal_syntax_exits_2_on_the_command_line():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["codim", "--k", "2", "--n", "4", "--beta", "1_0 0; 0 0"])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue() == "error: expected a non-negative integer or 'inf', got '1_0'\n"
 
 
 # -- parse(format(x)) == x ----------------------------------------------------

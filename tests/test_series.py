@@ -1,5 +1,6 @@
 """Truncated series, arc matrices, and invariant factor profiles."""
 
+import collections
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from schubert_arcs import PlanePartition
 from schubert_arcs.plane_partitions import parse_plane_partition
 from schubert_arcs.series import (
     _check_big_cell,
+    _rank_of_constant_term,
     big_cell_arc,
     format_arc_matrix,
     format_series,
@@ -40,6 +42,7 @@ from oracles import (
     naive_alpha,
     perm_det,
     random_plane_partition,
+    rank_by_gauss_jordan,
     series_add,
     series_mul,
     series_sub,
@@ -202,6 +205,78 @@ def test_determinant_matches_both_references(case):
     assert det == perm_det(matrix, rows, cols)
     reference = subset_dp_det(matrix, rows, cols)
     _same(det, reference.coeffs)
+
+
+def test_small_minors_match_both_references():
+    # sizes 1 and 2 have closed forms, sizes 3 and 4 the subset program:
+    # rows and columns drawn in any order, now and then a repeated row, on
+    # int and on Fraction coefficients, some coefficients zero
+    rng = random.Random(23)
+    sizes = collections.Counter()
+    for case in range(400):
+        size = (1, 2, 1, 2, 3, 4)[case % 6]
+        fractional = case % 4 >= 2
+        nrows, ncols = rng.randint(size, 5), rng.randint(size, 5)
+        precision = rng.randint(0, 5)
+
+        def coefficient():
+            if rng.random() < 0.3:
+                return 0
+            if fractional:
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            return rng.randint(-4, 4)
+
+        m = SeriesMatrix(
+            [
+                [TruncatedSeries([coefficient() for _ in range(precision + 1)]) for _ in range(ncols)]
+                for _ in range(nrows)
+            ]
+        )
+        rows = rng.sample(range(nrows), size)
+        if size > 1 and case % 5 == 0:
+            rows[-1] = rows[0]
+        cols = rng.sample(range(ncols), size)
+        det = series_det(m, rows, cols)
+        assert det == perm_det(m, rows, cols), (case, rows, cols)
+        if size == 1:
+            # the entry itself, a Fraction zero kept as it is
+            assert det is m.entries[rows[0]][cols[0]]
+        else:
+            _same(det, subset_dp_det(m, rows, cols).coeffs)
+        if len(set(rows)) < size:
+            assert det.order() == precision + 1
+        sizes[size, fractional] += 1
+    assert min(sizes.values()) >= 30 and len(sizes) == 8
+
+
+def test_rank_matches_gauss_jordan():
+    # random int and Fraction matrices up to 6 x 12, many of them rank
+    # deficient (a product through a narrower middle) or with zero rows
+    rng = random.Random(29)
+    ranks = collections.Counter()
+    for case in range(600):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 12)
+        inner = rng.randint(0, min(nrows, ncols))
+
+        def entry():
+            if case % 2:
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            return rng.randint(-9, 9)
+
+        left = [[entry() for _ in range(inner)] for _ in range(nrows)]
+        right = [[entry() for _ in range(ncols)] for _ in range(inner)]
+        const = [
+            [sum((left[i][u] * right[u][j] for u in range(inner)), 0) for j in range(ncols)]
+            for i in range(nrows)
+        ]
+        if case % 3 == 0:
+            const = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        if case % 7 == 0:
+            const[rng.randrange(nrows)] = [0] * ncols
+        expected = rank_by_gauss_jordan(const)
+        assert _rank_of_constant_term(const) == expected, const
+        ranks[expected < min(nrows, ncols)] += 1
+    assert ranks[True] >= 150 and ranks[False] >= 150
 
 
 def test_series_text_round_trip():
