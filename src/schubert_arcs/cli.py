@@ -19,8 +19,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .partitions import GrassmannShape, parse_multi_index, parse_partition
+from .partitions import GrassmannShape, _read_natural, parse_multi_index, parse_partition
 from .plane_partitions import PrecisionExceeded, parse_plane_partition
+
+
+def natural(text: str) -> int:
+    """The argparse type of --k, --n, --prec and --seed: a run of ASCII
+    digits, as every number of the text formats."""
+    return _read_natural(text)
 
 
 def _frac(value) -> str:
@@ -213,8 +219,8 @@ def cmd_generic_arc(args):
 
 def _add_subcommand(subparsers, name, handler, help_text, *flags):
     sub = subparsers.add_parser(name, help=help_text)
-    sub.add_argument("--k", type=int, required=True, help="number of rows k")
-    sub.add_argument("--n", type=int, required=True, help="ambient dimension n")
+    sub.add_argument("--k", type=natural, required=True, help="number of rows k")
+    sub.add_argument("--n", type=natural, required=True, help="ambient dimension n")
     group = sub.add_mutually_exclusive_group()
     group.add_argument("--json", action="store_true", help="emit one JSON document")
     group.add_argument("--plain", action="store_true", help="emit plain text (default)")
@@ -232,10 +238,10 @@ def _add_subcommand(subparsers, name, handler, help_text, *flags):
             sub.add_argument("--arc", required=True, metavar="MATRIX",
                              help='arc matrix, e.g. "t^2, 0, 0, 1; 0, t, 1, 0"')
         elif flag == "prec":
-            sub.add_argument("--prec", type=int, default=16,
+            sub.add_argument("--prec", type=natural, default=16,
                              help="series precision (default 16)")
         elif flag == "seed":
-            sub.add_argument("--seed", type=int, default=None,
+            sub.add_argument("--seed", type=natural, default=None,
                              help="seed for randomized unit coefficients")
         elif flag == "order-source":
             pick = sub.add_mutually_exclusive_group(required=True)

@@ -23,35 +23,27 @@ from .series import PrecisionExceeded, SeriesMatrix, TruncatedSeries, big_cell_a
 
 
 class PlanarNetwork:
-    """The staircase network of a shape, optionally with extra diagonal edges.
+    """The staircase network of a shape."""
 
-    A diagonal tagged (a, b) is the edge from v(a, b+1) down-left to
-    v(a+1, b); the base network has none.
-    """
-
-    def __init__(self, shape: GrassmannShape, diagonals=()):
+    def __init__(self, shape: GrassmannShape):
         self.shape = shape
-        self.diagonals = frozenset((a, b) for a, b in diagonals)
-        for a, b in self.diagonals:
-            if type(a) is not int or type(b) is not int:
-                raise ValueError(f"diagonal tag ({a!r}, {b!r}) is not a pair of integers")
-            if not (1 <= a <= shape.k and 1 <= b <= shape.cols):
-                raise ValueError(f"diagonal tag ({a}, {b}) outside the box")
         self._path_cache: dict[tuple[int, int], tuple] = {}
         self._family_cache: dict[tuple, tuple] = {}
 
     def source(self, i: int) -> tuple[int, int]:
-        if not 1 <= i <= self.shape.k:
-            raise ValueError(f"no source {i}")
+        if type(i) is not int or not 1 <= i <= self.shape.k:
+            raise ValueError(f"no source {i!r}")
         return (i, self.shape.cols + 1)
 
     def sink(self, j: int) -> tuple[int, int]:
-        if not 1 <= j <= self.shape.cols:
-            raise ValueError(f"no sink {j}")
+        if type(j) is not int or not 1 <= j <= self.shape.cols:
+            raise ValueError(f"no sink {j!r}")
         return (self.shape.k + 1, j)
 
     def paths(self, i: int, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
         """All paths from source i to sink j, as vertex tuples."""
+        start = self.source(i)
+        self.sink(j)
         if (i, j) in self._path_cache:
             return self._path_cache[(i, j)]
         k, c = self.shape.k, self.shape.cols
@@ -72,13 +64,7 @@ class PlanarNetwork:
                 trail.append((r + 1, col))
                 walk(r + 1, col, trail)
                 trail.pop()
-            if col >= 2 and (r, col - 1) in self.diagonals:
-                trail.append((r + 1, col - 1))
-                walk(r + 1, col - 1, trail)
-                trail.pop()
 
-        start = self.source(i)
-        self.sink(j)
         walk(start[0], start[1], [start])
         result = tuple(out)
         self._path_cache[(i, j)] = result
@@ -87,26 +73,29 @@ class PlanarNetwork:
     def families(self, sources, sinks):
         """Vertex-disjoint path families joining sources to sinks in order.
 
-        Sources and sinks must be strictly increasing; the u-th source is
-        joined to the u-th sink, the only pairing a disjoint family in a
-        planar network can use.
+        Sources and sinks must be ints, strictly increasing; the u-th source
+        is joined to the u-th sink, the only pairing a disjoint family in a
+        planar network can use.  The labels are checked before the cache is
+        read, where 2.0 would find the families of 2.
         """
         sources, sinks = tuple(sources), tuple(sinks)
         if len(sources) != len(sinks):
             raise ValueError("need equally many sources and sinks")
-        if any(sources[u] >= sources[u + 1] for u in range(len(sources) - 1)) or any(
-            sinks[u] >= sinks[u + 1] for u in range(len(sinks) - 1)
-        ):
-            raise ValueError("sources and sinks must be strictly increasing")
+        last = (0, 0)
+        for i, j in zip(sources, sinks):
+            if type(i) is not int or type(j) is not int or i <= last[0] or j <= last[1]:
+                raise ValueError(f"labels {sources}, {sinks} are not ints increasing from 1")
+            last = (i, j)
         if (sources, sinks) in self._family_cache:
             return self._family_cache[(sources, sinks)]
         found = []
+        options = [self.paths(i, j) for i, j in zip(sources, sinks)]
 
         def extend(u: int, used: set, chosen: list) -> None:
             if u == len(sources):
                 found.append(tuple(chosen))
                 return
-            for path in self.paths(sources[u], sinks[u]):
+            for path in options[u]:
                 if used.isdisjoint(path):
                     chosen.append(path)
                     extend(u + 1, used | set(path), chosen)
@@ -118,13 +107,12 @@ class PlanarNetwork:
         return result
 
     def __repr__(self) -> str:
-        extra = f", diagonals={sorted(self.diagonals)}" if self.diagonals else ""
-        return f"PlanarNetwork({self.shape!r}{extra})"
+        return f"PlanarNetwork({self.shape!r})"
 
 
 @lru_cache(maxsize=None)
 def gamma0(shape: GrassmannShape) -> PlanarNetwork:
-    """The plain staircase network, no diagonals.
+    """The staircase network of a shape.
 
     Cached per shape so repeated order computations share the path and
     family enumerations.
@@ -156,38 +144,21 @@ class EssentialWeighting:
     """Weights on the essential positions of the staircase network.
 
     Built from a k x (n-k) matrix of series; every other edge and vertex
-    has weight one.  ``extra_edges`` weights diagonal edges: each key must be
-    the edge ((a, b+1), (a+1, b)) of a diagonal tagged (a, b) in the box, or
-    ValueError is raised.  ``diagonals`` holds the tags of the weighted ones.
-    Every weight, in the matrix and in ``extra_edges``, must be a
-    TruncatedSeries; anything else raises ValueError.
+    has weight one.  Every weight must be a TruncatedSeries; anything else
+    raises ValueError.  The precision is that of the first vertex weight:
+    every shape has the vertex (k, n-k).
     """
 
-    def __init__(self, shape: GrassmannShape, w_matrix, extra_edges=None):
+    def __init__(self, shape: GrassmannShape, w_matrix):
         w_matrix = tuple(tuple(row) for row in w_matrix)
         if len(w_matrix) != shape.k or any(len(row) != shape.cols for row in w_matrix):
             raise ValueError(f"expected a {shape.k} x {shape.cols} weight matrix")
-        for w in [w for row in w_matrix for w in row] + list((extra_edges or {}).values()):
+        for w in [w for row in w_matrix for w in row]:
             if not isinstance(w, TruncatedSeries):
                 raise ValueError(f"weights must be TruncatedSeries: {w!r}")
         self.shape = shape
         self.vertex_weights, self.edge_weights = _placement(shape, w_matrix)
-        self.diagonals = frozenset()
-        if extra_edges:
-            tags = {
-                ((a, b + 1), (a + 1, b)): (a, b)
-                for a in range(1, shape.k + 1)
-                for b in range(1, shape.cols + 1)
-            }
-            for edge in extra_edges:
-                if edge not in tags:
-                    raise ValueError(f"extra edge {edge!r} is not a diagonal edge of {shape!r}")
-            self.edge_weights.update(extra_edges)
-            self.diagonals = frozenset(tags[edge] for edge in extra_edges)
-        some = next(iter(self.vertex_weights.values()), None) or next(
-            iter(self.edge_weights.values())
-        )
-        self.precision = some.precision
+        self.precision = next(iter(self.vertex_weights.values())).precision
 
 
 def essential_weighting(beta: PlanePartition, precision: int = 16, seed: int | None = None) -> EssentialWeighting:
@@ -222,9 +193,10 @@ def _unit_matrix(shape: GrassmannShape, seed: int | None):
     ]
 
 
-def weight_matrix(network: PlanarNetwork, weighting: EssentialWeighting) -> SeriesMatrix:
-    """Matrix of path sums: entry (i, j) adds the weights of all paths from
-    source i to sink j.
+def weight_matrix(weighting: EssentialWeighting) -> SeriesMatrix:
+    """Matrix of path sums in the staircase network of the weighting's
+    shape: entry (i, j) adds the weights of all paths from source i to
+    sink j.
 
     One backward pass over the network, with no path listed: rows from k
     down to 1, columns from 1 to c+1, each vertex keeps its path sums to
@@ -235,15 +207,8 @@ def weight_matrix(network: PlanarNetwork, weighting: EssentialWeighting) -> Seri
     from its first term, so the pass costs O(k c^2) series operations,
     c = n - k.  The entries share the least precision among them, at most
     the weighting's, since the weight that sets that lies on some path.
-    A weighting built for another shape, or one that weights a diagonal the
-    network lacks, raises ValueError.
     """
-    if weighting.shape != network.shape:
-        raise ValueError(f"a weighting of {weighting.shape!r} on a network of {network.shape!r}")
-    if not weighting.diagonals <= network.diagonals:
-        missing = sorted(weighting.diagonals - network.diagonals)
-        raise ValueError(f"the weighting weights diagonals {missing} that {network!r} lacks")
-    k, c = network.shape.k, network.shape.cols
+    k, c = weighting.shape.k, weighting.shape.cols
     vertex_weights, edge_weights = weighting.vertex_weights, weighting.edge_weights
     # the empty product, told apart by identity: a weight times it is the weight
     one = TruncatedSeries.one(weighting.precision)
@@ -254,8 +219,6 @@ def weight_matrix(network: PlanarNetwork, weighting: EssentialWeighting) -> Seri
             heads = [(r, col - 1)] if col >= 2 else []
             if col <= c:
                 heads.append((r + 1, col))
-            if (r, col - 1) in network.diagonals:
-                heads.append((r + 1, col - 1))
             total: dict[int, TruncatedSeries] = {}
             for head in heads:
                 w = edge_weights.get((tail, head))
@@ -339,8 +302,7 @@ def generic_arc(
     A precision below the largest contact order the weighting must realize,
     the diagonal sum at (1, 1), raises PrecisionExceeded at that position.
     """
-    net = gamma0(beta.shape)
     weighting = essential_weighting(beta, precision, seed)  # inf entries raise here
     if precision < diagonal_sum(beta, 1, 1):
         raise PrecisionExceeded((1, 1), precision + 1)
-    return big_cell_arc(weight_matrix(net, weighting))
+    return big_cell_arc(weight_matrix(weighting))

@@ -122,12 +122,10 @@ class Partition(_Value):
         return all(self.part(i) >= other.part(i) for i in range(1, len(other) + 1))
 
 
-def all_partitions(shape: GrassmannShape, include_empty: bool = False) -> Iterator[Partition]:
-    """All partitions in the box: the empty one first if ``include_empty``,
-    then by increasing first part, each followed by its extensions by
-    further rows, as (1), (1,1), (2), (2,1), (2,2) on G(2, 4).
-
-    The box of G(k, n) holds binomial(n, k) of them in total.
+def all_partitions(shape: GrassmannShape) -> Iterator[Partition]:
+    """All nonempty partitions in the box, by increasing first part, each
+    followed by its extensions by further rows, as (1), (1,1), (2), (2,1),
+    (2,2) on G(2, 4); with the empty one, binomial(n, k) in all.
     """
 
     def rec(prefix: list[int], bound: int, rows_left: int) -> Iterator[tuple[int, ...]]:
@@ -140,7 +138,7 @@ def all_partitions(shape: GrassmannShape, include_empty: bool = False) -> Iterat
             prefix.pop()
 
     for parts in rec([], shape.cols, shape.k):
-        if parts or include_empty:
+        if parts:
             yield Partition(parts, shape)
 
 

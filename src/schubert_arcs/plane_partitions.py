@@ -379,9 +379,7 @@ def plateaux(beta: PlanePartition) -> list[tuple[tuple[int, int], ExtNat, ExtNat
     return found
 
 
-def all_plane_partitions(
-    shape: GrassmannShape, max_height: int, include_zero: bool = True
-) -> Iterator[PlanePartition]:
+def all_plane_partitions(shape: GrassmannShape, max_height: int) -> Iterator[PlanePartition]:
     """All plane partitions in the box with entries at most ``max_height``."""
 
     def rows_from(prev: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -401,9 +399,7 @@ def all_plane_partitions(
 
     def build(rows: list[tuple[int, ...]], prev: tuple[int, ...]) -> Iterator[PlanePartition]:
         if len(rows) == shape.k:
-            pp = PlanePartition(rows, shape)
-            if include_zero or pp.volume > 0:
-                yield pp
+            yield PlanePartition(rows, shape)
             return
         for row in rows_from(prev):
             rows.append(row)

@@ -30,6 +30,7 @@ from schubert_arcs import (
     Infinity,
     NotAnArc,
     NotInBigCell,
+    Partition,
     PlanePartition,
     SeriesMatrix,
     TruncatedSeries,
@@ -39,7 +40,7 @@ from schubert_arcs import (
     weight_exponents,
 )
 from schubert_arcs.lct import _var
-from schubert_arcs.networks import EssentialWeighting, _unit_matrix, gamma0
+from schubert_arcs.networks import EssentialWeighting, _unit_matrix
 from schubert_arcs.nash import (
     ContainmentVerdict,
     _plateau_chain,
@@ -116,29 +117,61 @@ def subset_dp_det(matrix, rows, cols):
 # -- Path sums and minors by enumeration ----------------------------------------
 
 
-def path_weight(weighting, path):
-    """Product of the weights on the vertices and edges of a path; ``one``
-    only for a path with no weighted position."""
+def staircase_paths(shape, i, j, wedges=()):
+    """Every path from source i to sink j of the staircase network of the
+    shape, as vertex tuples: from v(i, n-k+1) left and down to v(k+1, j).
+    Each wedge tag (a, b) adds the down-left edge from v(a, b+1) to
+    v(a+1, b)."""
+    k, c = shape.k, shape.cols
+    wedges = set(wedges)
+    found = []
+
+    def walk(trail):
+        r, col = trail[-1]
+        if r == k + 1:
+            if col == j:
+                found.append(tuple(trail))
+            return
+        steps = [(r, col - 1)] if col > j else []
+        if col <= c:
+            steps.append((r + 1, col))
+        if col > j and (r, col - 1) in wedges:
+            steps.append((r + 1, col - 1))
+        for step in steps:
+            walk(trail + [step])
+
+    walk([(i, c + 1)])
+    return found
+
+
+def path_weight(weighting, path, wedges=None):
+    """Product of the weights on the vertices and edges of a path, the
+    wedge weights (by tag) included; ``one`` only for a path with no
+    weighted position."""
     acc = None
+    edges = dict(weighting.edge_weights)
+    for (a, b), w in (wedges or {}).items():
+        edges[(a, b + 1), (a + 1, b)] = w
     weights = [weighting.vertex_weights.get(v) for v in path]
-    weights += [weighting.edge_weights.get(pair) for pair in zip(path, path[1:])]
+    weights += [edges.get(pair) for pair in zip(path, path[1:])]
     for w in weights:
         if w is not None:
             acc = w if acc is None else acc * w
     return TruncatedSeries.one(weighting.precision) if acc is None else acc
 
 
-def weight_matrix_by_paths(network, weighting):
+def weight_matrix_by_paths(weighting, wedges=None):
     """Matrix of path sums: entry (i, j) adds the weights of all paths from
-    source i to sink j."""
-    k, c = network.shape.k, network.shape.cols
+    source i to sink j of the staircase network, with a down-left edge of
+    the given weight for each wedge tag (a, b) of ``wedges``."""
+    shape = weighting.shape
     rows = []
-    for i in range(1, k + 1):
+    for i in range(1, shape.k + 1):
         row = []
-        for j in range(1, c + 1):
+        for j in range(1, shape.cols + 1):
             acc = TruncatedSeries.zero(weighting.precision)
-            for path in network.paths(i, j):
-                acc = acc + path_weight(weighting, path)
+            for path in staircase_paths(shape, i, j, wedges or ()):
+                acc = acc + path_weight(weighting, path, wedges)
             row.append(acc)
         rows.append(row)
     return SeriesMatrix(rows)
@@ -174,7 +207,7 @@ def generic_arc_by_paths(beta, precision=16, seed=None):
                 coeffs[exps[i][j]] = units[i][j]
             row.append(TruncatedSeries(coeffs))
         w.append(row)
-    affine = weight_matrix_by_paths(gamma0(shape), EssentialWeighting(shape, w))
+    affine = weight_matrix_by_paths(EssentialWeighting(shape, w))
     rows = []
     for i, row in enumerate(affine.entries):
         pad = [TruncatedSeries([0], precision) for _ in range(shape.k)]
@@ -498,7 +531,7 @@ def fixed_point_census(lam):
         if parts[a - 1] > 0 and (a == k or parts[a] < parts[a - 1])
     ]
     members, singular = set(), set()
-    for mu in all_partitions(shape, include_empty=True):
+    for mu in [Partition((), shape), *all_partitions(shape)]:
         entries = fixed_point_multi_index(mu)
         counts = [(a, sum(1 for e in entries if e > k - a + b)) for a, b in corners]
         if all(count >= a for a, count in counts):
@@ -805,7 +838,9 @@ def brute_force_arnold(lam, height_bound):
     if not lam:
         raise ValueError("the pair with the whole Grassmannian has no threshold")
     best = Fraction(0)
-    for beta in all_plane_partitions(lam.shape, height_bound, include_zero=False):
+    for beta in all_plane_partitions(lam.shape, height_bound):
+        if not beta.volume:
+            continue
         ratio = Fraction(ord_schubert(beta, lam), beta.volume)
         if ratio > best:
             best = ratio

@@ -138,7 +138,7 @@ def test_08_path_family_expansion_equals_every_minor():
         for seed in range(200):
             beta = random_plane_partition(shape, 3, rng)
             w = essential_weighting(beta, 16, seed=seed)
-            matrix = weight_matrix(net, w)
+            matrix = weight_matrix(w)
             for size in range(1, min(shape.k, shape.cols) + 1):
                 for rows in itertools.combinations(range(1, shape.k + 1), size):
                     for cols in itertools.combinations(range(1, shape.cols + 1), size):

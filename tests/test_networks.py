@@ -40,6 +40,7 @@ from oracles import (
     path_weight,
     random_plane_partition,
     shapes_up_to,
+    staircase_paths,
     weight_matrix_by_paths,
 )
 
@@ -60,6 +61,7 @@ def test_path_counts_and_endpoints():
             for j in range(1, c + 1):
                 paths = net.paths(i, j)
                 assert len(paths) == comb((c - j) + (k - i), c - j)
+                assert set(paths) == set(staircase_paths(shape, i, j))
                 for path in paths:
                     assert path[0] == net.source(i)
                     assert path[-1] == net.sink(j)
@@ -75,19 +77,19 @@ def test_source_sink_labels_validated():
         net.source(3)
     with pytest.raises(ValueError):
         net.sink(0)
-
-
-def test_diagonal_tags_validated():
-    PlanarNetwork(G24, diagonals=[(2, 2)])
-    with pytest.raises(ValueError):
-        PlanarNetwork(G24, diagonals=[(3, 1)])
-    with pytest.raises(ValueError):
-        PlanarNetwork(G24, diagonals=[(1, 0)])
-    # a tag is a pair of ints, never truncated
-    with pytest.raises(ValueError, match="integers"):
-        PlanarNetwork(G24, diagonals=[(1.5, 1.2)])
-    with pytest.raises(ValueError, match="integers"):
-        PlanarNetwork(G24, diagonals=[(True, 1)])
+    # a label is an int, even where the caches hold an equal one: 2.0 and
+    # True would find the paths and families of 2 and 1
+    net.families((1,), (2,))
+    for bad in (1.5, 2.0, True):
+        for check in (net.source, net.sink, lambda x: net.paths(x, 1), lambda x: net.paths(1, x)):
+            with pytest.raises(ValueError):
+                check(bad)
+        with pytest.raises(ValueError):
+            net.families((1,), (bad,))
+    beta = PlanePartition([[2, 1], [1, 0]], G24)
+    for sources, sinks in (((1.5,), (1,)), ((1,), (2.0,)), ((True,), (1,))):
+        with pytest.raises(ValueError):
+            tropical_minor_order(beta, sources, sinks)
 
 
 def test_families_validated():
@@ -106,7 +108,7 @@ def test_weight_matrix_by_prime_substitution():
     prec = 4
     wmat = [[TruncatedSeries.constant(p, prec) for p in row] for row in [[2, 3, 5], [7, 11, 13]]]
     weighting = EssentialWeighting(G25, wmat)
-    X = weight_matrix(gamma0(G25), weighting)
+    X = weight_matrix(weighting)
     expected = [[5032, 718, 65], [1001, 143, 13]]
     for i in range(2):
         for j in range(3):
@@ -118,41 +120,13 @@ def test_weight_matrix_matches_path_enumeration():
     # units, on every shape up to n = 10 and on one G(7, 14) arc.
     rng = random.Random(11)
     for shape in shapes_up_to(10):
-        net = PlanarNetwork(shape)
         for _ in range(2):
             beta = random_plane_partition(shape, 3, rng)
             w = essential_weighting(beta, 16, seed=rng.randrange(10**6))
-            assert weight_matrix(net, w) == weight_matrix_by_paths(net, w), beta
+            assert weight_matrix(w) == weight_matrix_by_paths(w), beta
     shape = GrassmannShape(7, 14)
     w = essential_weighting(PlanePartition.constant(shape, 2), 16, seed=7)
-    assert weight_matrix(PlanarNetwork(shape), w) == weight_matrix_by_paths(PlanarNetwork(shape), w)
-
-
-def test_weight_matrix_with_diagonals_matches_path_enumeration():
-    # Random diagonal edges, some of them weighted through extra_edges (at
-    # a precision of their own), others of weight one.
-    rng = random.Random(12)
-    for _ in range(40):
-        shape = rng.choice(shapes_up_to(8))
-        k, c = shape.k, shape.cols
-        tags = [(a, b) for a in range(1, k + 1) for b in range(1, c + 1)]
-        diagonals = rng.sample(tags, rng.randint(1, len(tags)))
-        net = PlanarNetwork(shape, diagonals=diagonals)
-        beta = random_plane_partition(shape, 3, rng)
-        exps = weight_exponents(beta)
-        wmat = [
-            [TruncatedSeries.t_power(exps[i][j], 16, coeff=rng.randint(1, 99)) for j in range(c)]
-            for i in range(k)
-        ]
-        extra = {
-            ((a, b + 1), (a + 1, b)): TruncatedSeries.t_power(
-                rng.randint(0, 3), rng.choice((12, 16, 20)), coeff=rng.randint(1, 99)
-            )
-            for a, b in diagonals
-            if rng.random() < 0.5
-        }
-        w = EssentialWeighting(shape, wmat, extra_edges=extra)
-        assert weight_matrix(net, w) == weight_matrix_by_paths(net, w), (shape, diagonals)
+    assert weight_matrix(w) == weight_matrix_by_paths(w)
 
 
 def test_weight_matrix_with_mixed_precisions():
@@ -173,8 +147,8 @@ def test_weight_matrix_with_mixed_precisions():
     wmat[2][1] = TruncatedSeries.t_power(2, 5, coeff=-4)
     weighting = EssentialWeighting(shape, wmat)
     assert weighting.precision == 12
-    got = weight_matrix(gamma0(shape), weighting)
-    assert got == weight_matrix_by_paths(gamma0(shape), weighting)
+    got = weight_matrix(weighting)
+    assert got == weight_matrix_by_paths(weighting)
     assert got.precision == 5
     assert {e.precision for row in got.entries for e in row} == {5}
 
@@ -186,24 +160,24 @@ def test_path_sums_list_no_path(monkeypatch):
     monkeypatch.setattr(PlanarNetwork, "paths", no_paths)
     shape = GrassmannShape(3, 6)
     beta = PlanePartition([[2, 1, 1], [1, 1, 0], [1, 0, 0]], shape)
-    assert weight_matrix(PlanarNetwork(shape), essential_weighting(beta, 8, seed=1)).nrows == 3
+    assert weight_matrix(essential_weighting(beta, 8, seed=1)).nrows == 3
     assert invariant_factor_profile(generic_arc(beta, seed=1)) == beta
 
 
 def test_path_weight_of_an_unweighted_path_is_one():
-    # The diagonal from source 2 straight to sink 2 passes no essential
-    # position; weighted through extra_edges, it carries just that weight.
+    # The wedge (2, 2) runs from source 2 straight to sink 2 and passes no
+    # essential position; given a weight, it carries just that weight.
     # The path through v(2, 2) and v(2, 1) passes two, of weight 3t each.
-    net = PlanarNetwork(G24, diagonals=[(2, 2)])
     path = ((2, 3), (3, 2))
-    assert path in net.paths(2, 2)
+    assert path in staircase_paths(G24, 2, 2, [(2, 2)])
+    assert path not in staircase_paths(G24, 2, 2)
     wmat = [[TruncatedSeries.t_power(1, 8, coeff=3)] * 2] * 2
-    assert path_weight(EssentialWeighting(G24, wmat), path) == TruncatedSeries.one(8)
+    weighting = EssentialWeighting(G24, wmat)
+    assert path_weight(weighting, path) == TruncatedSeries.one(8)
     wedge = TruncatedSeries.t_power(2, 8, coeff=5)
-    weighted = EssentialWeighting(G24, wmat, extra_edges={path: wedge})
-    assert path_weight(weighted, path) == wedge
+    assert path_weight(weighting, path, {(2, 2): wedge}) == wedge
     two = ((2, 3), (2, 2), (2, 1), (3, 1))
-    assert path_weight(weighted, two) == TruncatedSeries.t_power(2, 8, coeff=9)
+    assert path_weight(weighting, two, {(2, 2): wedge}) == TruncatedSeries.t_power(2, 8, coeff=9)
 
 
 def test_essential_positions_on_the_staircase():
@@ -226,38 +200,16 @@ def test_weighting_shape_checked():
     wmat = [[TruncatedSeries.one(prec)] * 2] * 2
     with pytest.raises(ValueError):
         EssentialWeighting(G25, wmat)
-    w = essential_weighting(PlanePartition([[2, 1], [1, 0]], G24), 6)
-    with pytest.raises(ValueError):
-        weight_matrix(PlanarNetwork(G25), w)
 
 
 def test_weights_must_be_series():
-    # a float, bool or int weight, in the matrix or on a diagonal edge, is
-    # rejected by the constructor, before weight_matrix multiplies with it
+    # a float, bool or int weight is rejected by the constructor, before
+    # weight_matrix multiplies with it
     t = TruncatedSeries.t_power(1, 4)
     for bad in (1.5, True, 3):
         for wmat in ([[bad, t], [t, t]], [[t, t], [t, bad]]):
             with pytest.raises(ValueError, match="weights must be TruncatedSeries"):
                 EssentialWeighting(G24, wmat)
-        with pytest.raises(ValueError, match="weights must be TruncatedSeries"):
-            EssentialWeighting(G24, [[t, t], [t, t]], extra_edges={((2, 3), (3, 2)): bad})
-
-
-def test_diagonal_weights_are_checked_not_dropped():
-    # an extra edge must be the diagonal ((a, b+1), (a+1, b)) of a tag (a, b)
-    # in the box, and the network must have every diagonal it weights
-    t = TruncatedSeries.t_power(1, 4)
-    wmat = [[t, t], [t, t]]
-    for edge in [((9, 9), (1, 1)), ((2, 3), (2, 2)), ((1, 3), (3, 1)), ((2, 1), (3, 0))]:
-        with pytest.raises(ValueError, match="not a diagonal edge"):
-            EssentialWeighting(G24, wmat, extra_edges={edge: t})
-    weighting = EssentialWeighting(G24, wmat, extra_edges={((2, 3), (3, 2)): 5 * t})
-    assert weighting.diagonals == {(2, 2)}
-    for tags in [(), [(1, 1)], [(1, 2), (2, 1)]]:
-        with pytest.raises(ValueError, match=r"weights diagonals \[\(2, 2\)\]"):
-            weight_matrix(PlanarNetwork(G24, diagonals=tags), weighting)
-    net = PlanarNetwork(G24, diagonals=[(1, 1), (2, 2)])
-    assert weight_matrix(net, weighting) == weight_matrix_by_paths(net, weighting)
 
 
 def test_infinite_entries_have_no_weighting():
@@ -273,7 +225,7 @@ def test_lindstrom_minor_equals_determinant():
         for seed in range(3):
             beta = random_plane_partition(shape, 2, rng)
             w = essential_weighting(beta, 16, seed=seed)
-            X = weight_matrix(net, w)
+            X = weight_matrix(w)
             for size in range(1, min(shape.k, shape.cols) + 1):
                 for rows in itertools.combinations(range(1, shape.k + 1), size):
                     for cols in itertools.combinations(range(1, shape.cols + 1), size):
@@ -463,14 +415,10 @@ def test_wedge_edge_interpolates_between_strata():
     bigger = beta.add_box(2, 2)
     wedge_exp = weight_exponents(beta)[1][1]
     assert wedge_exp == 1
-    net = PlanarNetwork(G24, diagonals=[(2, 2)])
     exps = weight_exponents(bigger)
     wmat = [[TruncatedSeries.t_power(exps[i][j], prec) for j in range(2)] for i in range(2)]
+    weighting = EssentialWeighting(G24, wmat)
     for s, expected in ((0, bigger), (1, beta), (5, beta)):
-        weighting = EssentialWeighting(
-            G24,
-            wmat,
-            extra_edges={((2, 3), (3, 2)): TruncatedSeries.t_power(wedge_exp, prec, coeff=s)},
-        )
-        arc = big_cell_arc(weight_matrix(net, weighting))
+        wedge = {(2, 2): TruncatedSeries.t_power(wedge_exp, prec, coeff=s)}
+        arc = big_cell_arc(weight_matrix_by_paths(weighting, wedge))
         assert invariant_factor_profile(arc) == expected

@@ -101,6 +101,39 @@ def test_literal_syntax_exits_2_on_the_command_line():
     assert err.getvalue() == "error: expected a non-negative integer or 'inf', got '1_0'\n"
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("k", ["codim", "--k", "\u0662", "--n", "4", "--beta", "1 0; 0 0"]),
+        ("n", ["codim", "--k", "2", "--n", "+4", "--beta", "1 0; 0 0"]),
+        ("prec", ["generic-arc", "--k", "2", "--n", "4", "--beta", "1 0; 0 0", "--prec", "1_0"]),
+        ("seed", ["generic-arc", "--k", "2", "--n", "4", "--beta", "1 0; 0 0", "--seed", "+3"]),
+        # Random(-s) draws what Random(s) draws: a negative seed was an alias
+        ("seed", ["generic-arc", "--k", "2", "--n", "4", "--beta", "1 0; 0 0", "--seed", "-3"]),
+        ("prec", ["profile", "--k", "2", "--n", "4", "--arc", "t, 0, 0, 1; 0, t, 1, 0", "--prec", "-1"]),
+    ],
+)
+def test_integer_flags_are_digit_runs_on_the_command_line(flag, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2 and out.getvalue() == ""
+    assert f"argument --{flag}: invalid natural value" in err.getvalue()
+
+
+def test_integer_flags_keep_their_spaces_and_leading_zeros():
+    runs = []
+    for prec, seed in (("8", "3"), (" 08", "03 ")):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["generic-arc", "--k", "2", "--n", "4", "--beta", "2 1; 1 0",
+                         "--prec", prec, "--seed", seed, "--json"])
+        assert code == 0
+        runs.append(out.getvalue())
+    assert runs[0] == runs[1] and '"precision": 8' in runs[0]
+
+
 # -- parse(format(x)) == x ----------------------------------------------------
 
 ROUND_TRIP = settings(max_examples=200, derandomize=True, database=None, deadline=None)

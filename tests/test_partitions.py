@@ -121,7 +121,7 @@ def test_partition_cells_and_containment():
 def test_multi_index_bijection_exhaustive():
     for shape in shapes_up_to(8):
         seen = set()
-        for lam in all_partitions(shape, include_empty=True):
+        for lam in [Partition((), shape), *all_partitions(shape)]:
             entries = multi_index_from_partition(lam)
             assert partition_from_multi_index(entries, shape) == lam
             seen.add(entries)
@@ -139,7 +139,7 @@ def test_multi_index_known_values():
 
 
 def test_bruhat_is_containment_order():
-    lams = list(all_partitions(G36, include_empty=True))
+    lams = [Partition((), G36), *all_partitions(G36)]
     for lam in lams:
         for mu in lams:
             expected = all(lam.part(i) <= mu.part(i) for i in range(1, 4))
@@ -173,11 +173,10 @@ def test_singular_components_small_cases():
 def test_singular_components_match_fixed_point_census():
     """The components must cut out exactly the strict fixed points."""
     for shape in shapes_up_to(6) + [GrassmannShape(3, 7)]:
-        for lam in all_partitions(shape, include_empty=True):
+        lams = [Partition((), shape), *all_partitions(shape)]
+        for lam in lams:
             members, singular = fixed_point_census(lam)
-            assert members == {
-                mu for mu in all_partitions(shape, include_empty=True) if bruhat_leq(lam, mu)
-            }
+            assert members == {mu for mu in lams if bruhat_leq(lam, mu)}
             comps = singular_components(lam)
             for comp in comps:
                 assert bruhat_leq(lam, comp) and comp != lam
