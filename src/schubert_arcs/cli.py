@@ -5,8 +5,9 @@ plane partitions, and arc matrices in the same text formats the library
 parses, and writes either line-oriented plain text (default) or a single
 JSON document (--json).  Exact rationals are always rendered as "p/q".
 
-Exit codes: 0 on success, 2 for invalid input, 3 when a computation runs
-out of series precision, 4 for internal invariant violations.
+Exit codes: 0 on success, 2 for invalid input (a number too large to
+allocate or index included), 3 when a computation runs out of series
+precision, 4 for internal invariant violations.
 
 ``main`` parses the shape and the --beta, --beta2, --lambda and --plucker
 values; each handler imports the layers it uses, so a run loads only what
@@ -303,15 +304,10 @@ def main(argv=None) -> int:
             if text is not None:
                 setattr(args, name, parse(text, args.shape))
         payload, plain = args.handler(args)
-    except PrecisionExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    except (PrecisionExceeded, RuntimeError, ValueError, OverflowError, MemoryError) as exc:
+        # a number too large to allocate or to index with is invalid input
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 3 if isinstance(exc, PrecisionExceeded) else 4 if isinstance(exc, RuntimeError) else 2
     if args.json:
         import json
 

@@ -15,10 +15,10 @@ Grid positions, source labels, and sink labels are 1-based throughout.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .partitions import GrassmannShape, minor_of_multi_index
-from .plane_partitions import ExtNat, PlanePartition, diagonal_sum, weight_exponents
+from .plane_partitions import ExtNat, PlanePartition, _essential_neighbours, diagonal_sum, weight_exponents
 from .series import PrecisionExceeded, SeriesMatrix, TruncatedSeries, big_cell_arc
 
 
@@ -41,32 +41,25 @@ class PlanarNetwork:
         return (self.shape.k + 1, j)
 
     def paths(self, i: int, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """All paths from source i to sink j, as vertex tuples."""
+        """All paths from source i to sink j, as vertex tuples: one for each
+        c >= d_i >= ... >= d_(k-1) >= j, the columns where it leaves rows
+        i, ..., k-1 (it leaves row k at j), in lexicographic order of the d."""
         start = self.source(i)
         self.sink(j)
         if (i, j) in self._path_cache:
             return self._path_cache[(i, j)]
         k, c = self.shape.k, self.shape.cols
+        # vertex (r, x) is grid[r][x], one tuple shared by every path
+        grid = {r: [(r, x) for x in range(c + 2)] for r in range(i, k + 2)}
         out = []
-
-        def walk(r: int, col: int, trail: list[tuple[int, int]]) -> None:
-            if col < j:
-                return
-            if r == k + 1:
-                if col == j:
-                    out.append(tuple(trail))
-                return
-            if col >= 2:
-                trail.append((r, col - 1))
-                walk(r, col - 1, trail)
-                trail.pop()
-            if col <= c:
-                trail.append((r + 1, col))
-                walk(r + 1, col, trail)
-                trail.pop()
-
-        walk(start[0], start[1], [start])
-        result = tuple(out)
+        for leave in combinations_with_replacement(range(c, j - 1, -1), k - i):
+            path, col = [start], c + 1
+            for r, down in enumerate((*leave, j), start=i):
+                path += grid[r][col - 1 : down - 1 : -1]
+                path.append(grid[r + 1][down])
+                col = down
+            out.append(tuple(path))
+        result = tuple(reversed(out))
         self._path_cache[(i, j)] = result
         return result
 
@@ -122,21 +115,17 @@ def gamma0(shape: GrassmannShape) -> PlanarNetwork:
 
 def _placement(shape: GrassmannShape, matrix):
     """Vertex and edge dicts holding entry (i, j) of a k x (n-k) matrix at
-    its essential position: on the vertex (i, j) when the box below-right
-    of (i, j) is square, on the incoming horizontal edge when it is wider
-    than tall, on the outgoing vertical edge when taller than wide."""
+    its essential position: on the edge between (i, j) and its essential
+    neighbour, or on the vertex (i, j) when it has none."""
     vertex: dict = {}
     edge: dict = {}
-    for i in range(1, shape.k + 1):
-        for j in range(1, shape.cols + 1):
-            below, right = shape.k - i, shape.cols - j
-            w = matrix[i - 1][j - 1]
-            if below == right:
-                vertex[(i, j)] = w
-            elif below < right:
-                edge[((i, j + 1), (i, j))] = w
-            else:
-                edge[((i, j), (i + 1, j))] = w
+    for cell, near in _essential_neighbours(shape):
+        w = matrix[cell[0] - 1][cell[1] - 1]
+        if near is None:
+            vertex[cell] = w
+        else:
+            # horizontal edges run right to left, vertical ones top to bottom
+            edge[(near, cell) if near[0] == cell[0] else (cell, near)] = w
     return vertex, edge
 
 

@@ -329,6 +329,13 @@ def _read_natural(token: str) -> int:
     return int(digits)
 
 
+def _check_natural(value, what: str) -> None:
+    """Raise ValueError naming ``what`` unless the value is a non-negative
+    int; a bool or a float is not one."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be a non-negative int, got {value!r}")
+
+
 def parse_partition(text: str, shape: GrassmannShape) -> Partition:
     """Parse "3,1,1"; blank or "0" gives the empty partition."""
     text = text.strip()

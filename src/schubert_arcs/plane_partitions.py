@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .partitions import GrassmannShape, Partition, _read_natural, _Value, schubert_conditions
+from .partitions import GrassmannShape, Partition, _check_natural, _read_natural, _Value, schubert_conditions
 
 
 class Infinity:
@@ -271,28 +271,29 @@ def contact_profile(beta: PlanePartition) -> dict[Partition, ExtNat]:
     return {lam: ord_schubert(beta, lam) for lam in all_partitions(beta.shape)}
 
 
+def _essential_neighbours(shape: GrassmannShape):
+    """Each cell (i, j), row by row, with its essential neighbour: (i, j+1)
+    when the box below-right of (i, j) is wider than tall, (i+1, j) when it
+    is taller than wide, and None when it is square."""
+    k, c = shape.k, shape.cols
+    for i in range(1, k + 1):
+        for j in range(1, c + 1):
+            below, right = k - i, c - j
+            yield (i, j), ((i, j + 1) if below < right else (i + 1, j) if below > right else None)
+
+
 def weight_exponents(beta: PlanePartition) -> tuple[tuple[ExtNat, ...], ...]:
     """Exponent matrix for the essential weighting realizing beta on the
     standard planar network.
 
-    Position (i, j) compares the box below-right of (i, j): wider than tall
-    takes the difference along the row, taller than wide along the column,
-    and on the square diagonal the entry itself.
+    Position (i, j) takes its entry minus the entry at its essential
+    neighbour, or the entry itself where it has none (the square diagonal).
     """
-    k, c = beta.shape.k, beta.shape.cols
-    exps = []
-    for i in range(1, k + 1):
-        row = []
-        for j in range(1, c + 1):
-            below, right = k - i, c - j
-            if below < right:
-                row.append(beta.at(i, j) - beta.at(i, j + 1))
-            elif below > right:
-                row.append(beta.at(i, j) - beta.at(i + 1, j))
-            else:
-                row.append(beta.at(i, j))
-        exps.append(tuple(row))
-    return tuple(exps)
+    at = beta.at
+    flat = [at(*cell) if near is None else at(*cell) - at(*near)
+            for cell, near in _essential_neighbours(beta.shape)]
+    c = beta.shape.cols
+    return tuple(tuple(flat[r : r + c]) for r in range(0, len(flat), c))
 
 
 def floors(beta: PlanePartition) -> list[Partition]:
@@ -380,33 +381,27 @@ def plateaux(beta: PlanePartition) -> list[tuple[tuple[int, int], ExtNat, ExtNat
 
 
 def all_plane_partitions(shape: GrassmannShape, max_height: int) -> Iterator[PlanePartition]:
-    """All plane partitions in the box with entries at most ``max_height``."""
+    """All plane partitions in the box with entries at most ``max_height``,
+    a non-negative int, in lexicographic order of their rows.
 
-    def rows_from(prev: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        c = len(prev)
-
-        def rec(prefix: list[int], j: int) -> Iterator[tuple[int, ...]]:
-            if j == c:
-                yield tuple(prefix)
-                return
-            cap = min(prev[j], prefix[j - 1] if j else prev[0])
-            for e in range(cap + 1):
-                prefix.append(e)
-                yield from rec(prefix, j + 1)
-                prefix.pop()
-
-        yield from rec([], 0)
-
-    def build(rows: list[tuple[int, ...]], prev: tuple[int, ...]) -> Iterator[PlanePartition]:
-        if len(rows) == shape.k:
-            yield PlanePartition(rows, shape)
+    Counting up from zero: the next one raises by one the last entry, in
+    row-major order, that stays at most max_height and its neighbours above
+    and to the left, and sets every later entry to 0.
+    """
+    _check_natural(max_height, "max_height")
+    k, c = shape.k, shape.cols
+    backward = [(i, j) for i in range(k - 1, -1, -1) for j in range(c - 1, -1, -1)]
+    entries = [[0] * c for _ in range(k)]
+    while True:
+        yield PlanePartition(entries, shape)
+        for i, j in backward:
+            cap = min(entries[i - 1][j] if i else max_height, entries[i][j - 1] if j else max_height)
+            if entries[i][j] < cap:
+                entries[i][j] += 1
+                break
+            entries[i][j] = 0
+        else:
             return
-        for row in rows_from(prev):
-            rows.append(row)
-            yield from build(rows, row)
-            rows.pop()
-
-    yield from build([], (max_height,) * shape.cols)
 
 
 # -- Text format -------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .partitions import GrassmannShape, _check_multi_index, _read_natural, final_multi_index
+from .partitions import GrassmannShape, _check_multi_index, _check_natural, _read_natural, final_multi_index
 from .plane_partitions import PlanePartition, PrecisionExceeded, essential_profile, from_essential
 
 
@@ -64,8 +64,7 @@ class TruncatedSeries:
     def __init__(self, coeffs, precision: int | None = None):
         coeffs = tuple(coeffs)
         if precision is not None:
-            if precision < 0:
-                raise ValueError(f"negative precision {precision}")
+            _check_natural(precision, "precision")
             if len(coeffs) > precision + 1:
                 coeffs = coeffs[: precision + 1]
             else:
@@ -91,8 +90,7 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, precision: int) -> "TruncatedSeries":
-        if precision < 0:
-            raise ValueError(f"negative precision {precision}")
+        _check_natural(precision, "precision")
         return cls._of((0,) * (precision + 1))
 
     @classmethod
@@ -101,17 +99,14 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, precision: int) -> "TruncatedSeries":
-        if precision < 0:
-            raise ValueError(f"negative precision {precision}")
+        _check_natural(precision, "precision")
         return cls._of((1,) + (0,) * precision)
 
     @classmethod
     def t_power(cls, exponent: int, precision: int, coeff=1) -> "TruncatedSeries":
         """coeff * t^exponent; exponents beyond the precision leave zero."""
-        if exponent < 0:
-            raise ValueError("negative exponents are not representable")
-        if precision < 0:
-            raise ValueError(f"negative precision {precision}")
+        _check_natural(exponent, "exponent")
+        _check_natural(precision, "precision")
         if type(coeff) not in _EXACT:
             raise ValueError(f"series coefficients must be ints or Fractions: {coeff!r}")
         coeffs = [0] * (precision + 1)
@@ -120,8 +115,7 @@ class TruncatedSeries:
         return cls._of(tuple(coeffs))
 
     def truncate(self, precision: int) -> "TruncatedSeries":
-        if precision < 0:
-            raise ValueError(f"negative precision {precision}")
+        _check_natural(precision, "precision")
         if precision >= self.precision:
             return self
         return TruncatedSeries._of(self.coeffs[: precision + 1])
@@ -250,7 +244,8 @@ def big_cell_arc(affine: SeriesMatrix) -> SeriesMatrix:
 
 def series_det(matrix: SeriesMatrix, rows, cols) -> TruncatedSeries:
     """Determinant of the square submatrix on ``rows`` x ``cols`` (0-based),
-    in any order and with repeats.
+    in any order and with repeats; an index outside the matrix raises
+    ValueError.
 
     A minor of size 1 is its entry and one of size 2 is ad - bc.  Larger
     minors use subset dynamic programming: the minor on the first r+1 rows
@@ -261,6 +256,8 @@ def series_det(matrix: SeriesMatrix, rows, cols) -> TruncatedSeries:
     s = len(rows)
     if s != len(cols):
         raise ValueError("determinant needs a square submatrix")
+    if s and (min(rows + cols) < 0 or max(rows) >= matrix.nrows or max(cols) >= matrix.ncols):
+        raise ValueError(f"minor {rows} x {cols} outside a {matrix.nrows} x {matrix.ncols} matrix")
     entry = matrix.entries
     if s == 1:
         return entry[rows[0]][cols[0]]
@@ -477,6 +474,7 @@ def parse_series(text: str, precision: int) -> TruncatedSeries:
     text = text.strip()
     if not text:
         raise ValueError("empty series")
+    _check_natural(precision, "precision")
     coeffs = [Fraction(0)] * (precision + 1)
     pos = 0
     sign = 1

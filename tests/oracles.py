@@ -13,12 +13,14 @@ Pluecker orders of G(2, 4) come from their closed forms, big-cell
 membership is decided by series determinants rather than by constant
 terms, ranks of constant terms by Gauss-Jordan elimination in Fractions,
 generic arcs are assembled from path sums through the checking
-constructors, plateau corners by scanning whole regions, and containment
+constructors, plateau corners by scanning whole regions, plane partitions
+are listed by the library's former recursive search, and containment
 verdicts with the necessary conditions first: the Pluecker orders of
 every pair are streamed, and only unrefuted pairs are certified.
 """
 
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
@@ -945,6 +947,43 @@ def compare_refutation_first(beta, beta2):
     return ContainmentVerdict(
         "unknown", "necessary conditions hold but no sufficient criterion applies"
     )
+
+
+# -- Plane partitions by recursion ----------------------------------------------
+
+
+def plane_partitions_by_recursion(shape: GrassmannShape, max_height: int) -> Iterator[PlanePartition]:
+    """All plane partitions in the box with entries at most ``max_height``.
+
+    The library's former search: each row is built entry by entry under the
+    row above, and the rows one by one, through three nested generators.
+    """
+
+    def rows_from(prev: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        c = len(prev)
+
+        def rec(prefix: list[int], j: int) -> Iterator[tuple[int, ...]]:
+            if j == c:
+                yield tuple(prefix)
+                return
+            cap = min(prev[j], prefix[j - 1] if j else prev[0])
+            for e in range(cap + 1):
+                prefix.append(e)
+                yield from rec(prefix, j + 1)
+                prefix.pop()
+
+        yield from rec([], 0)
+
+    def build(rows: list[tuple[int, ...]], prev: tuple[int, ...]) -> Iterator[PlanePartition]:
+        if len(rows) == shape.k:
+            yield PlanePartition(rows, shape)
+            return
+        for row in rows_from(prev):
+            rows.append(row)
+            yield from build(rows, row)
+            rows.pop()
+
+    yield from build([], (max_height,) * shape.cols)
 
 
 # -- Random inputs --------------------------------------------------------------

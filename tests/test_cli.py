@@ -249,6 +249,22 @@ def test_invalid_input_exits_2():
     )
 
 
+def test_oversized_numbers_exit_2():
+    # a precision or a shape too large to index with or to allocate used to
+    # end in a traceback; none of these allocates: 8 EB are refused at once
+    for argv in (
+        ["profile", "--k", "2", "--n", "4", "--arc", "t, 0, 0, 1; 0, t, 1, 0",
+         "--prec", "10000000000000000000"],
+        ["generic-arc", "--k", "2", "--n", "4", "--beta", "1 0; 0 0",
+         "--prec", "1000000000000000000"],
+        ["lct", "--k", "200000000000000000000", "--n", "400000000000000000000",
+         "--lambda", "1"],
+    ):
+        code, out, err = run(argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and len(err) > len("error: \n"), argv
+
+
 def test_argparse_failures_exit_2():
     for argv in (
         ["no-such-command"],

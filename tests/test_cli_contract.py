@@ -88,6 +88,14 @@ def argument_lists(draw):
 @example(["codim", "--k", "2", "--n", "4", "--beta", "inf 1; 1 0"])
 @example(["lct-table", "--k", "3", "--n", "3"])
 @example(["order", "--k", "2", "--n", "4", "--beta", "1 1; 1 0", "--plucker", "[1,1]"])
+# numbers too large to index with or to allocate; never one from about 1e8
+# to 1e17, which could really be allocated
+@example(["profile", "--k", "2", "--n", "4", "--arc", "t, 0, 0, 1; 0, t, 1, 0",
+          "--prec", "10000000000000000000"])
+@example(["generic-arc", "--k", "2", "--n", "4", "--beta", "1 0; 0 0",
+          "--prec", "1000000000000000000"])
+@example(["lct", "--k", "200000000000000000000", "--n", "400000000000000000000",
+          "--lambda", "1"])
 def test_cli_ends_in_a_documented_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -21,6 +21,7 @@ from schubert_arcs.nash import nash_valuations
 from schubert_arcs.networks import (
     EssentialWeighting,
     PlanarNetwork,
+    _placement,
     _plucker_orders,
     essential_weighting,
     gamma0,
@@ -62,6 +63,9 @@ def test_path_counts_and_endpoints():
                 paths = net.paths(i, j)
                 assert len(paths) == comb((c - j) + (k - i), c - j)
                 assert set(paths) == set(staircase_paths(shape, i, j))
+                # listed by the columns where they step down, increasing
+                downs = [[a[1] for a, b in zip(p, p[1:]) if b[0] > a[0]] for p in paths]
+                assert downs == sorted(downs) and len(set(map(tuple, downs))) == len(downs)
                 for path in paths:
                     assert path[0] == net.source(i)
                     assert path[-1] == net.sink(j)
@@ -193,6 +197,22 @@ def test_essential_positions_on_the_staircase():
     }
     assert w.vertex_weights[(1, 2)] == TruncatedSeries.t_power(exps[0][1], 8)
     assert w.edge_weights[((1, 3), (2, 3))] == TruncatedSeries.t_power(exps[0][2], 8)
+
+
+def test_placement_covers_each_cell_once_on_staircase_steps():
+    # each cell's entry sits once: on its own vertex, or on a left or down
+    # step of the staircase that starts or ends at the cell
+    for shape in shapes_up_to(8):
+        k, c = shape.k, shape.cols
+        cells = [(i, j) for i in range(1, k + 1) for j in range(1, c + 1)]
+        net = gamma0(shape)
+        nodes = {*cells, *map(net.source, range(1, k + 1)), *map(net.sink, range(1, c + 1))}
+        vertex, edge = _placement(shape, [[(i, j) for j in range(1, c + 1)] for i in range(1, k + 1)])
+        assert all(key == cell for key, cell in vertex.items())
+        for (tail, head), cell in edge.items():
+            assert head in ((tail[0], tail[1] - 1), (tail[0] + 1, tail[1])), (shape, tail, head)
+            assert tail in nodes and head in nodes and cell in (tail, head)
+        assert sorted([*vertex.values(), *edge.values()]) == cells
 
 
 def test_weighting_shape_checked():

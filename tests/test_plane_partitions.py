@@ -35,6 +35,7 @@ from schubert_arcs.plane_partitions import (
 
 from oracles import (
     grown_plane_partition,
+    plane_partitions_by_recursion,
     plateaux_by_regions,
     random_plane_partition,
     shapes_up_to,
@@ -306,6 +307,28 @@ def test_plateaux_match_the_region_scan():
                 assert plateaux(candidate) == plateaux_by_regions(candidate), candidate
                 checked += 1
     assert checked > 8000
+
+
+def test_enumeration_matches_the_recursive_search():
+    # the same sequence, order included, as the former search through
+    # nested generators, on every shape with n <= 7 and every height 0..3
+    # (0..2 from n = 7)
+    checked = 0
+    for shape in shapes_up_to(7):
+        for height in range(3 if shape.n == 7 else 4):
+            got = list(all_plane_partitions(shape, height))
+            assert got == list(plane_partitions_by_recursion(shape, height)), (shape, height)
+            checked += len(got)
+    assert checked == 4907
+
+
+def test_enumeration_height_must_be_a_natural():
+    # -1 used to list nothing, True to count as 1, and 1.5 or inf to raise
+    # TypeError
+    for height in (-1, True, 1.5, INF, "2", None):
+        with pytest.raises(ValueError):
+            list(all_plane_partitions(G24, height))
+    assert list(all_plane_partitions(G24, 0)) == [PlanePartition.zero(G24)]
 
 
 def test_enumeration_counts():

@@ -114,6 +114,43 @@ def test_precision_must_not_be_negative():
         TruncatedSeries.one(-1)
 
 
+def test_precision_and_exponent_must_be_naturals():
+    # a bool used to pass for 1 and a float to end in TypeError
+    s = TruncatedSeries([1, 2])
+    for bad in (True, False, 1.5, 2.0, "2", -1):
+        for build in (
+            lambda p: TruncatedSeries([1], p),
+            TruncatedSeries.zero,
+            TruncatedSeries.one,
+            lambda p: TruncatedSeries.constant(1, p),
+            lambda p: TruncatedSeries.t_power(1, p),
+            lambda p: TruncatedSeries.t_power(p, 3),
+            s.truncate,
+            lambda p: parse_series("1", p),
+            lambda p: parse_arc_matrix("1, t", p),
+        ):
+            with pytest.raises(ValueError):
+                build(bad)
+    zero_beta = PlanePartition.zero(G24)
+    for bad in (True, 1.5):
+        with pytest.raises(ValueError):
+            generic_arc(zero_beta, precision=bad)
+    # None still means "as many coefficients as given"
+    assert TruncatedSeries([1, 2], None).precision == 1
+    assert TruncatedSeries.t_power(0, 0) == TruncatedSeries.one(0)
+
+
+def test_determinant_indexes_must_lie_in_the_matrix():
+    # -1 used to read the last row and 5 to raise IndexError
+    m = parse_arc_matrix("1, t, 0; t, 1, t^2", 4)
+    for rows, cols in (([-1], [0]), ([0], [-1]), ([2], [0]), ([0], [3]), ([5], [0]),
+                       ([0, -1], [0, 1]), ([0, 1], [1, 3]), ([0, 1, 2], [0, 1, 2])):
+        with pytest.raises(ValueError):
+            series_det(m, rows, cols)
+    assert series_det(m, [1, 0], [2, 0]) == perm_det(m, [1, 0], [2, 0])
+    assert series_det(m, [], []) == TruncatedSeries.one(4)
+
+
 def test_foreign_operands_raise_type_error():
     s = TruncatedSeries([1, 2])
     for operate in (
