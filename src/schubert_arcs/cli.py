@@ -12,7 +12,9 @@ precision, 4 for internal invariant violations.
 ``main`` parses the shape and the --beta, --beta2, --lambda and --plucker
 values; each handler imports the layers it uses, so a run loads only what
 its subcommand needs: the LP subcommands never load the series or network
-stacks.
+stacks, and the containment subcommands (and ``order --plucker``) load
+neither the series layer nor the LP solver.  The parser builds the options
+of the named subcommand only.
 """
 
 from __future__ import annotations
@@ -218,8 +220,7 @@ def cmd_generic_arc(args):
     return {"arc": text, "precision": args.prec}, [text]
 
 
-def _add_subcommand(subparsers, name, handler, help_text, *flags):
-    sub = subparsers.add_parser(name, help=help_text)
+def _add_options(sub, flags):
     sub.add_argument("--k", type=natural, required=True, help="number of rows k")
     sub.add_argument("--n", type=natural, required=True, help="ambient dimension n")
     group = sub.add_mutually_exclusive_group()
@@ -250,39 +251,41 @@ def _add_subcommand(subparsers, name, handler, help_text, *flags):
                               help="order of contact with this Schubert variety")
             pick.add_argument("--plucker", default=None, metavar="INDEX",
                               help='order of this Pluecker coordinate, e.g. "[1,3]"')
-    sub.set_defaults(handler=handler)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name, handler, help line, and the options beyond --k, --n, --json, --plain
+_SUBCOMMANDS = (
+    ("lct", cmd_lct, "log canonical threshold of a Schubert pair", ("lambda",)),
+    ("arnold", cmd_lct, "Arnold multiplicity of a Schubert pair", ("lambda",)),
+    ("lct-table", cmd_lct_table, "thresholds of every Schubert variety of the shape", ()),
+    ("profile", cmd_profile, "invariant factor profile of a concrete arc", ("arc", "prec", "seed")),
+    ("order", cmd_order, "contact order of a stratum with a variety or coordinate",
+     ("beta", "order-source")),
+    ("nash-compare", cmd_nash_compare, "containment verdict between two stratum closures",
+     ("beta", "beta2")),
+    ("codim", cmd_codim, "codimension, multiplicity, and discrepancy of a stratum", ("beta",)),
+    ("chain", cmd_chain, "one-box chain through the plane partition", ("beta",)),
+    ("nash-valuations", cmd_nash_valuations, "Nash valuations of a Schubert variety", ("lambda",)),
+    ("sing", cmd_sing, "singular locus components and Nash valuations", ("lambda",)),
+    ("generic-arc", cmd_generic_arc, "a concrete arc generic for a stratum", ("beta", "prec", "seed")),
+)
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for the argument list argv: every subcommand with its help
+    line, but options only for the one argparse dispatches to, the first
+    token not starting with "-"; each option costs a help formatter."""
     parser = argparse.ArgumentParser(
         prog="schubert-arcs",
         description="Singularity invariants of Schubert varieties via arc spaces.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    _add_subcommand(subparsers, "lct", cmd_lct,
-                    "log canonical threshold of a Schubert pair", "lambda")
-    _add_subcommand(subparsers, "arnold", cmd_lct,
-                    "Arnold multiplicity of a Schubert pair", "lambda")
-    _add_subcommand(subparsers, "lct-table", cmd_lct_table,
-                    "thresholds of every Schubert variety of the shape")
-    _add_subcommand(subparsers, "profile", cmd_profile,
-                    "invariant factor profile of a concrete arc", "arc", "prec", "seed")
-    _add_subcommand(subparsers, "order", cmd_order,
-                    "contact order of a stratum with a variety or coordinate",
-                    "beta", "order-source")
-    _add_subcommand(subparsers, "nash-compare", cmd_nash_compare,
-                    "containment verdict between two stratum closures",
-                    "beta", "beta2")
-    _add_subcommand(subparsers, "codim", cmd_codim,
-                    "codimension, multiplicity, and discrepancy of a stratum", "beta")
-    _add_subcommand(subparsers, "chain", cmd_chain,
-                    "one-box chain through the plane partition", "beta")
-    _add_subcommand(subparsers, "nash-valuations", cmd_nash_valuations,
-                    "Nash valuations of a Schubert variety", "lambda")
-    _add_subcommand(subparsers, "sing", cmd_sing,
-                    "singular locus components and Nash valuations", "lambda")
-    _add_subcommand(subparsers, "generic-arc", cmd_generic_arc,
-                    "a concrete arc generic for a stratum", "beta", "prec", "seed")
+    named = next((token for token in argv if not token.startswith("-")), None)
+    for name, handler, help_text, flags in _SUBCOMMANDS:
+        sub = subparsers.add_parser(name, help=help_text)
+        if name == named:
+            _add_options(sub, flags)
+            sub.set_defaults(handler=handler)
     return parser
 
 
@@ -296,7 +299,8 @@ _PARSED = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         args.shape = GrassmannShape(args.k, args.n)
         for name, parse in _PARSED:

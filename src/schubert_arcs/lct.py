@@ -6,17 +6,16 @@ least diagonal sum of beta at a corner of lambda.  With one more variable t
 bounded by every corner sum, it is the small exact linear program "maximize
 t".  All its rows but the volume row are homogeneous, so the origin is a
 vertex and a one-phase simplex solves it.  The log canonical threshold is
-the reciprocal, and rectangular shapes have a closed form.
+the reciprocal, and rectangular shapes have a closed form.  The simplex
+layer and ``fractions`` load when first used, not on import.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .partitions import GrassmannShape, Partition, rim_size, schubert_conditions
 from .plane_partitions import PlanePartition, _diagonal_positions
-from .simplex import LPSolution, RationalLP, solve_max
 
 
 def _var(shape: GrassmannShape, i: int, j: int) -> int:
@@ -35,6 +34,8 @@ def build_lp(lam: Partition) -> RationalLP:
     with equality at every optimum, and every row but the volume row is
     homogeneous, so the volume is one at every optimum.
     """
+    from .simplex import RationalLP
+
     if not lam:
         raise ValueError("the pair with the whole Grassmannian has no threshold")
     shape = lam.shape
@@ -63,6 +64,8 @@ def build_lp(lam: Partition) -> RationalLP:
 
 
 def _solve(lam: Partition) -> LPSolution:
+    from .simplex import solve_max
+
     solution = solve_max(build_lp(lam))
     if solution.status != "optimal":
         raise RuntimeError(
@@ -73,11 +76,15 @@ def _solve(lam: Partition) -> LPSolution:
 
 def arnold_multiplicity(lam: Partition) -> Fraction:
     """Maximum of ord(lambda) over normalized Schubert valuations."""
+    from fractions import Fraction
+
     return Fraction(_solve(lam).value)
 
 
 def arnold_witness(lam: Partition) -> tuple[Fraction, tuple[tuple[Fraction, ...], ...]]:
     """Arnold multiplicity together with a maximizing plane R-partition."""
+    from fractions import Fraction
+
     solution = _solve(lam)
     c = lam.shape.cols
     vertex = tuple(
@@ -111,6 +118,8 @@ def lct_rectangular(a: int, b: int, shape: GrassmannShape) -> Fraction:
         raise ValueError(f"rectangle sides must be integers: {a!r} x {b!r}")
     if not (1 <= a <= k and 1 <= b <= c):
         raise ValueError(f"rectangle {a} x {b} does not fit in the {k} x {c} box")
+    from fractions import Fraction
+
     r = min(k - a, c - b)
     return min(Fraction((a + s) * (b + s), s + 1) for s in range(r + 1))
 

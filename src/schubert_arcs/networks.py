@@ -10,6 +10,9 @@ tropically, replacing products along a path by sums of exponents and the
 outer sum by a minimum.
 
 Grid positions, source labels, and sink labels are 1-based throughout.
+
+Tropical orders need no series, so only the functions that build series
+weights or arcs import the series layer, when called; ``nash`` never loads it.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from .partitions import GrassmannShape, minor_of_multi_index
-from .plane_partitions import ExtNat, PlanePartition, _essential_neighbours, diagonal_sum, weight_exponents
-from .series import PrecisionExceeded, SeriesMatrix, TruncatedSeries, big_cell_arc
+from .partitions import GrassmannShape, _check_natural, minor_of_multi_index
+from .plane_partitions import (
+    ExtNat, PlanePartition, PrecisionExceeded, _essential_neighbours, diagonal_sum, weight_exponents,
+)
 
 
 class PlanarNetwork:
@@ -139,6 +143,8 @@ class EssentialWeighting:
     """
 
     def __init__(self, shape: GrassmannShape, w_matrix):
+        from .series import TruncatedSeries
+
         w_matrix = tuple(tuple(row) for row in w_matrix)
         if len(w_matrix) != shape.k or any(len(row) != shape.cols for row in w_matrix):
             raise ValueError(f"expected a {shape.k} x {shape.cols} weight matrix")
@@ -154,9 +160,12 @@ def essential_weighting(beta: PlanePartition, precision: int = 16, seed: int | N
     """The weighting realizing beta: weight t^c at each essential position,
     where c is the exponent matrix of beta, times a unit.
 
-    ``seed=None`` takes every unit to be 1; an integer seed draws positive
-    integer units reproducibly.
+    ``seed=None`` takes every unit to be 1; a non-negative int seed draws
+    positive integer units reproducibly, and any other seed raises
+    ValueError.
     """
+    from .series import TruncatedSeries
+
     if not beta.is_finite:
         raise ValueError("infinite entries cannot be realized at finite precision")
     exps = weight_exponents(beta)
@@ -174,6 +183,7 @@ def essential_weighting(beta: PlanePartition, precision: int = 16, seed: int | N
 def _unit_matrix(shape: GrassmannShape, seed: int | None):
     if seed is None:
         return [[1] * shape.cols for _ in range(shape.k)]
+    _check_natural(seed, "seed")
     import random
 
     rng = random.Random(seed)
@@ -197,6 +207,8 @@ def weight_matrix(weighting: EssentialWeighting) -> SeriesMatrix:
     c = n - k.  The entries share the least precision among them, at most
     the weighting's, since the weight that sets that lies on some path.
     """
+    from .series import SeriesMatrix, TruncatedSeries
+
     k, c = weighting.shape.k, weighting.shape.cols
     vertex_weights, edge_weights = weighting.vertex_weights, weighting.edge_weights
     # the empty product, told apart by identity: a weight times it is the weight
@@ -286,11 +298,14 @@ def generic_arc(
     """A concrete arc generic for beta, in big-cell form (k x n).
 
     The affine block is the weight matrix of the essential weighting; the
-    unit coefficients are all 1 by default or drawn from a seeded generator.
+    unit coefficients are all 1 by default or drawn from a generator seeded
+    by a non-negative int (any other seed raises ValueError).
     Infinite entries are rejected: they have no finite-precision realization.
     A precision below the largest contact order the weighting must realize,
     the diagonal sum at (1, 1), raises PrecisionExceeded at that position.
     """
+    from .series import big_cell_arc
+
     weighting = essential_weighting(beta, precision, seed)  # inf entries raise here
     if precision < diagonal_sum(beta, 1, 1):
         raise PrecisionExceeded((1, 1), precision + 1)

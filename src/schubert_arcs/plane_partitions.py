@@ -158,7 +158,11 @@ class PlanePartition(_Value):
         return cls([[value] * shape.cols] * shape.k, shape)
 
     def at(self, i: int, j: int) -> ExtNat:
-        """Entry at 1-based position (i, j)."""
+        """Entry at 1-based position (i, j).  A position that is not a pair
+        of ints (a bool or a float is not one) raises ValueError, and one
+        outside the box IndexError."""
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"position ({i!r}, {j!r}) is not a pair of ints")
         if not (1 <= i <= self.shape.k and 1 <= j <= self.shape.cols):
             raise IndexError(f"position ({i}, {j}) outside the box")
         return self.rows[i - 1][j - 1]
@@ -195,7 +199,10 @@ def _diagonal_positions(shape: GrassmannShape, a: int, b: int):
 
 
 def diagonal_sum(beta: PlanePartition, a: int, b: int) -> ExtNat:
-    """Sum of entries on the diagonal starting at (a, b), within the box."""
+    """Sum of entries on the diagonal starting at (a, b), within the box;
+    a start that is not a pair of ints raises ValueError."""
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"position ({a!r}, {b!r}) is not a pair of ints")
     total: ExtNat = 0
     for i, j in _diagonal_positions(beta.shape, a, b):
         total = total + beta.at(i, j)

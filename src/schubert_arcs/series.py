@@ -429,7 +429,9 @@ def borel_translate(arc: SeriesMatrix, seed: int = 0) -> SeriesMatrix:
 
     The translate changes coordinates without changing any contact order,
     so profiles computed after translation are profiles of the original arc.
+    The seed must be a non-negative int; any other seed raises ValueError.
     """
+    _check_natural(seed, "seed")
     k, n = arc.nrows, arc.ncols
     # cleared rows span the same row space, so every block below is of ints
     const = _integral_rows(arc.constant_term())

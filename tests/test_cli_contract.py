@@ -4,6 +4,7 @@ argparse exit with 0 or 2, and never in another exception."""
 import contextlib
 import io
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -105,3 +106,24 @@ def test_cli_ends_in_a_documented_exit_code(argv):
             assert exc.code in (0, 2), (argv, exc.code)
             return
     assert code in (0, 2, 3, 4), (argv, code)
+
+
+def _help(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    return out.getvalue()
+
+
+def test_top_level_help_lists_every_subcommand():
+    # the parser builds only the named subcommand's options, but registers all
+    listed = {line.split()[0] for line in _help(["--help"]).splitlines() if line.startswith("    ")}
+    assert set(TAKES) <= listed
+
+
+@pytest.mark.parametrize("command", list(TAKES))
+def test_subcommand_help_shows_its_options(command):
+    text = _help([command, "--help"])
+    for option in ("--k", "--n", "--json", "--plain", *TAKES[command]):
+        assert option in text.split("options:")[-1], (command, option)

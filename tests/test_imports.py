@@ -16,6 +16,9 @@ import schubert_arcs
 
 PACKAGE_ROOT = str(Path(schubert_arcs.__file__).resolve().parent.parent)
 HEAVY = {"schubert_arcs.series", "schubert_arcs.networks", "schubert_arcs.nash"}
+LP = {"schubert_arcs.simplex"}
+# exact rationals: the series layer, the LP solver, and the fractions they use
+EXACT = {"schubert_arcs.series", "schubert_arcs.simplex", "fractions"}
 
 # runs cli.main on sys.argv[1:] and prints (exit code, loaded modules) last
 CLI_PROBE = """
@@ -37,18 +40,18 @@ CLI_RUNS = [
     (["lct", *G24, "--lambda", "2,1"], 0, HEAVY),
     (["arnold", *G24, "--lambda", "1", "--json"], 0, HEAVY),
     (["lct-table", *G24], 0, HEAVY),
-    (["sing", *G24], 2, HEAVY),
-    (["profile", *G24, *ARC], 0, HEAVY - {"schubert_arcs.series"}),
+    (["sing", *G24], 2, HEAVY | EXACT),
+    (["profile", *G24, *ARC], 0, HEAVY - {"schubert_arcs.series"} | LP),
     (["profile", *G24, "--arc", "t^9, 0, 0, 1; 0, t, 1, 0", "--prec", "4"], 3,
-     HEAVY - {"schubert_arcs.series"}),
-    (["order", *G24, *BETA, "--plucker", "[1,2]"], 0, {"schubert_arcs.nash"}),
-    (["order", *G24, *BETA, "--lambda", "1"], 0, HEAVY),
-    (["nash-compare", *G24, *BETA, "--beta2", "2 2; 1 0"], 0, set()),
-    (["codim", *G24, *BETA], 0, set()),
-    (["chain", *G24, *BETA], 0, set()),
-    (["nash-valuations", *G24, "--lambda", "1"], 0, set()),
-    (["sing", *G24, "--lambda", "1"], 0, set()),
-    (["generic-arc", *G24, *BETA], 0, {"schubert_arcs.nash"}),
+     HEAVY - {"schubert_arcs.series"} | LP),
+    (["order", *G24, *BETA, "--plucker", "[1,2]"], 0, {"schubert_arcs.nash"} | EXACT),
+    (["order", *G24, *BETA, "--lambda", "1"], 0, HEAVY | EXACT),
+    (["nash-compare", *G24, *BETA, "--beta2", "2 2; 1 0"], 0, EXACT),
+    (["codim", *G24, *BETA], 0, EXACT),
+    (["chain", *G24, *BETA], 0, EXACT),
+    (["nash-valuations", *G24, "--lambda", "1"], 0, EXACT),
+    (["sing", *G24, "--lambda", "1"], 0, EXACT),
+    (["generic-arc", *G24, *BETA], 0, {"schubert_arcs.nash"} | LP),
 ]
 
 
@@ -71,6 +74,16 @@ def test_cli_loads_only_what_its_subcommand_uses(argv, code, absent):
     assert got_code == code
     assert not absent & set(modules)
     assert "dataclasses" not in modules and "inspect" not in modules
+
+
+def test_package_import_loads_no_lp_solver_until_a_threshold():
+    out = run_python(
+        "import sys, schubert_arcs\n"
+        "print(sorted({'schubert_arcs.simplex', 'fractions'} & set(sys.modules)))\n"
+        "shape = schubert_arcs.GrassmannShape(2, 4)\n"
+        "print(schubert_arcs.lct(schubert_arcs.Partition([2, 1], shape)))"
+    )
+    assert out.split("\n")[:2] == ["[]", "3"]
 
 
 def test_lct_is_the_function_whatever_the_import_order():

@@ -413,6 +413,17 @@ def test_generic_arc_of_zero_stratum():
         assert plucker_ord(beta, entries) == 0
 
 
+def test_seeds_must_be_non_negative_ints():
+    # -2 would draw the units of 2, since random.Random(-s) is random.Random(s)
+    beta = PlanePartition([[2, 1], [1, 0]], G24)
+    for bad in (-2, True, 1.5, "x"):
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            generic_arc(beta, seed=bad)
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            essential_weighting(beta, 8, seed=bad)
+    assert generic_arc(beta, seed=0) != generic_arc(beta, seed=None)
+
+
 def test_generic_arc_needs_the_largest_contact_order():
     beta = PlanePartition([[9, 9], [9, 9]], G24)
     with pytest.raises(PrecisionExceeded) as info:

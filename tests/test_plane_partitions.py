@@ -103,6 +103,23 @@ def test_basic_accessors():
     assert pp("inf 1; 1 0").volume == INF
 
 
+def test_positions_must_be_ints():
+    # True used to read row 1, and a float position raised TypeError
+    beta = pp("3 2 1; 2 1 1; 1 1 0", G36)
+    for bad in ((True, 1), (1, True), (1.0, 1), (1, 2.0), ("1", 1), (None, 1)):
+        with pytest.raises(ValueError, match="is not a pair of ints"):
+            beta.at(*bad)
+        with pytest.raises(ValueError, match="is not a pair of ints"):
+            beta.add_box(*bad)
+        with pytest.raises(ValueError, match="is not a pair of ints"):
+            diagonal_sum(beta, *bad)
+    with pytest.raises(ValueError, match="is not a pair of ints"):
+        diagonal_sum(beta, 1.5, 1)
+    with pytest.raises(IndexError):
+        beta.at(0, 1)
+    assert diagonal_sum(beta, 4, 1) == 0
+
+
 def test_diagonal_sums_and_rectangle_orders():
     beta = pp("3 2 1; 2 1 1; 1 1 0", G36)
     assert diagonal_sum(beta, 1, 1) == 3 + 1 + 0

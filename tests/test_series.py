@@ -514,6 +514,14 @@ def test_borel_translate_preserves_profiles():
         ) == parse_plane_partition("2 2; 2 1", G24)
 
 
+def test_borel_translate_seeds_must_be_non_negative_ints():
+    # -3 would draw the translate of 3, since random.Random(-s) is random.Random(s)
+    arc = parse_arc_matrix("1,0,t,0; 0,1,0,t", 8)
+    for bad in (-3, True, 1.5, "x", None):
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            borel_translate(arc, seed=bad)
+
+
 def _outcome(call, *args, **kwargs):
     """The returned value, or the type and message of the raised error."""
     try:
