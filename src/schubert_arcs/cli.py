@@ -111,7 +111,7 @@ def cmd_profile(args):
     try:
         beta = invariant_factor_profile(arc)
     except NotInBigCell:
-        arc = borel_translate(arc, seed=args.seed if args.seed is not None else 0)
+        arc = borel_translate(arc, seed=args.seed)
         beta = invariant_factor_profile(arc)
         translated = True
     alpha = essential_profile(beta)
@@ -242,9 +242,12 @@ def _add_options(sub, flags):
         elif flag == "prec":
             sub.add_argument("--prec", type=natural, default=16,
                              help="series precision (default 16)")
-        elif flag == "seed":
+        elif flag == "shift":
+            sub.add_argument("--seed", type=natural, default=0,
+                             help="first shift the Borel translation tries (default 0)")
+        elif flag == "units":
             sub.add_argument("--seed", type=natural, default=None,
-                             help="seed for randomized unit coefficients")
+                             help="seed for random unit coefficients (default: every unit 1)")
         elif flag == "order-source":
             pick = sub.add_mutually_exclusive_group(required=True)
             pick.add_argument("--lambda", dest="lam", default=None, metavar="PARTS",
@@ -258,7 +261,7 @@ _SUBCOMMANDS = (
     ("lct", cmd_lct, "log canonical threshold of a Schubert pair", ("lambda",)),
     ("arnold", cmd_lct, "Arnold multiplicity of a Schubert pair", ("lambda",)),
     ("lct-table", cmd_lct_table, "thresholds of every Schubert variety of the shape", ()),
-    ("profile", cmd_profile, "invariant factor profile of a concrete arc", ("arc", "prec", "seed")),
+    ("profile", cmd_profile, "invariant factor profile of a concrete arc", ("arc", "prec", "shift")),
     ("order", cmd_order, "contact order of a stratum with a variety or coordinate",
      ("beta", "order-source")),
     ("nash-compare", cmd_nash_compare, "containment verdict between two stratum closures",
@@ -267,7 +270,7 @@ _SUBCOMMANDS = (
     ("chain", cmd_chain, "one-box chain through the plane partition", ("beta",)),
     ("nash-valuations", cmd_nash_valuations, "Nash valuations of a Schubert variety", ("lambda",)),
     ("sing", cmd_sing, "singular locus components and Nash valuations", ("lambda",)),
-    ("generic-arc", cmd_generic_arc, "a concrete arc generic for a stratum", ("beta", "prec", "seed")),
+    ("generic-arc", cmd_generic_arc, "a concrete arc generic for a stratum", ("beta", "prec", "units")),
 )
 
 

@@ -30,7 +30,6 @@ from .plane_partitions import (
     plateaux,
     weight_exponents,
 )
-from .networks import _plucker_orders
 
 
 class ContainmentVerdict(namedtuple("ContainmentVerdict", "relation witness")):
@@ -53,6 +52,8 @@ def _same_shape(beta: PlanePartition, beta2: PlanePartition) -> GrassmannShape:
 def _plucker_drop(beta: PlanePartition, beta2: PlanePartition) -> str | None:
     """Witness for the first multi-index, in lexicographic order, whose
     Pluecker order drops from beta to beta2, or None."""
+    from .networks import _plucker_orders
+
     for (entries, o), (_, o2) in zip(_plucker_orders(beta), _plucker_orders(beta2)):
         if not o <= o2:
             return f"order of {format_multi_index(entries)} drops: {o} > {o2}"
@@ -210,6 +211,8 @@ def discrepancy_data(beta: PlanePartition) -> tuple[int, int, int]:
     """
     if not beta.is_finite:
         raise ValueError("discrepancy data requires a finite plane partition")
+    from .networks import _plucker_orders
+
     vol = beta.volume
     q = math.gcd(*(order for _, order in _plucker_orders(beta)))
     return vol, q, vol - q

@@ -16,7 +16,6 @@ the matrix, never a series inverse.
 
 from __future__ import annotations
 
-import random
 import re
 from fractions import Fraction
 from itertools import combinations
@@ -299,17 +298,20 @@ def _integral_rows(const) -> list[list[int]]:
     return rows
 
 
-def _rank_of_constant_term(const) -> int:
-    """Rank over Q of a matrix of constant terms, by fraction-free
-    elimination (Bareiss, Math. Comp. 1968) on its denominator-free rows.
+def _pivot_columns(const) -> list[int]:
+    """The pivot columns of a matrix of constant terms, by fraction-free
+    elimination (Bareiss, Math. Comp. 1968) on its denominator-free rows:
+    the lexicographically first set of linearly independent columns that
+    spans the column space, so its length is the rank over Q.
 
     Each step replaces the rows below the pivot row by cross-multiplied
     differences divided by the previous pivot; the division is exact, as
     every entry is then a minor of the cleared matrix, so only ints arise.
     """
     rows = _integral_rows(const)
-    rank, previous = 0, 1
+    pivots, previous = [], 1
     for col in range(len(rows[0])):
+        rank = len(pivots)
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
@@ -320,10 +322,10 @@ def _rank_of_constant_term(const) -> int:
             f = rows[r][col]
             rows[r] = [(p * x - f * y) // previous for x, y in zip(rows[r], top)]
         previous = p
-        rank += 1
-        if rank == len(rows):
+        pivots.append(col)
+        if len(pivots) == len(rows):
             break
-    return rank
+    return pivots
 
 
 def _check_big_cell(arc: SeriesMatrix) -> None:
@@ -335,8 +337,8 @@ def _check_big_cell(arc: SeriesMatrix) -> None:
     # the constant block, is nonzero; a unit last block already gives the
     # constant term rank k, so the full rank is needed only to tell a
     # singular block of an arc from a matrix that is no arc at all
-    if _rank_of_constant_term([row[n - k :] for row in const]) < k:
-        if _rank_of_constant_term(const) < k:
+    if len(_pivot_columns([row[n - k :] for row in const])) < k:
+        if len(_pivot_columns(const)) < k:
             raise NotAnArc("no maximal minor is a unit")
         raise NotInBigCell(
             "the minor on the last k columns is not a unit; "
@@ -424,44 +426,35 @@ def is_generic_form(arc: SeriesMatrix, beta: PlanePartition) -> bool:
 
 
 def borel_translate(arc: SeriesMatrix, seed: int = 0) -> SeriesMatrix:
-    """Right-translate by a random integer upper-triangular matrix until the
-    arc sits in the opposite big cell.
+    """Right-translate by an integer upper-triangular matrix into the
+    opposite big cell.
 
-    The translate changes coordinates without changing any contact order,
-    so profiles computed after translation are profiles of the original arc.
-    The seed must be a non-negative int; any other seed raises ValueError.
+    With J = (j_1 < ... < j_k) the lexicographically first columns on which
+    the constant term is invertible, the translate is arc . u for
+    u = I + x * sum_i E(j_i, n-k+i): column n-k+i gains x times column j_i.
+    As j_i <= n-k+i, u is upper-triangular with diagonal 1 or 1 + x, so each
+    prefix of columns spans what it spanned: no contact order changes, and
+    profiles of the translate are profiles of the arc.
+
+    The new last constant block is B + x * C, with B the old one and C the
+    constant term on J; det(B + x * C) is det C times a monic polynomial of
+    degree k in x, so one of x = seed, ..., seed + k makes it a unit and
+    the translation is deterministic and total.  The seed, the first x
+    tried, must be a non-negative int; any other seed raises ValueError.
     """
     _check_natural(seed, "seed")
     k, n = arc.nrows, arc.ncols
     # cleared rows span the same row space, so every block below is of ints
     const = _integral_rows(arc.constant_term())
-    if _rank_of_constant_term(const) < k:
+    basis = tuple(zip(range(n - k, n), _pivot_columns(const)))
+    if len(basis) < k:
         raise NotAnArc("no maximal minor is a unit")
-    rng = random.Random(seed)
-    prec = arc.precision
-    for _ in range(32):
-        u = [
-            [
-                rng.randint(1, 9) if i == j else (rng.randint(-9, 9) if j > i else 0)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        # the translate is in the big cell when the constant term of its
-        # last k columns, (const . u) on those columns, has full rank
-        block = [
-            [sum(row[i] * u[i][j] for i in range(n)) for j in range(n - k, n)]
-            for row in const
-        ]
-        if _rank_of_constant_term(block) == k:
-            zero = TruncatedSeries.zero(prec)
-            return SeriesMatrix(
-                [
-                    [sum((row[i] * u[i][j] for i in range(n) if u[i][j]), zero) for j in range(n)]
-                    for row in arc.entries
-                ]
-            )
-    raise RuntimeError("internal: failed to reach the big cell by translation")
+    x = seed
+    while len(_pivot_columns([[row[c] + x * row[j] for c, j in basis] for row in const])) < k:
+        x += 1
+    return SeriesMatrix._of(
+        tuple(row[: n - k] + tuple(row[c] + row[j] * x for c, j in basis) for row in arc.entries)
+    )
 
 
 # -- Text format -------------------------------------------------------------

@@ -476,8 +476,9 @@ def check_big_cell_by_series_det(arc):
 
 
 def borel_translate_by_series_det(arc, seed=0):
-    """borel_translate with every random translate built in full and
-    accepted when its series minor on the last k columns is a unit."""
+    """The Borel translation as the library first ran it: up to 32 random
+    integer upper-triangular translates, each built in full and accepted
+    when its series minor on the last k columns is a unit."""
     k, n = arc.nrows, arc.ncols
     if not _has_unit_maximal_minor(arc):
         raise NotAnArc("no maximal minor is a unit")

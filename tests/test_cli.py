@@ -107,6 +107,19 @@ def test_profile_translates_out_of_general_position():
     assert out.splitlines()[-1] == "translated: true"
 
 
+def test_profile_translates_past_the_roots_of_the_last_block():
+    # shifts 0 and 1 leave this arc outside the big cell; every seed still
+    # translates it, where a failed translation used to exit 4
+    argv = ["profile", "--k", "2", "--n", "4", "--arc", "1, 0, t, 0; 0, 1, 0, t-1"]
+    for seed in ("0", "1", "2", "3"):
+        assert run_json(argv + ["--seed", seed]) == {
+            "beta": "0 0; 0 0",
+            "alpha": "0 0; 0 0",
+            "codim": 0,
+            "translated": True,
+        }
+
+
 def test_profile_error_exits():
     code, _, err = run(["profile", "--k", "2", "--n", "4", "--arc", "t, 0, 0; 0, 1, 0"])
     assert code == 2 and err.startswith("error:")

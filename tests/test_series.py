@@ -26,7 +26,7 @@ from schubert_arcs import PlanePartition
 from schubert_arcs.plane_partitions import parse_plane_partition
 from schubert_arcs.series import (
     _check_big_cell,
-    _rank_of_constant_term,
+    _pivot_columns,
     big_cell_arc,
     format_arc_matrix,
     format_series,
@@ -288,7 +288,9 @@ def test_small_minors_match_both_references():
 
 def test_rank_matches_gauss_jordan():
     # random int and Fraction matrices up to 6 x 12, many of them rank
-    # deficient (a product through a narrower middle) or with zero rows
+    # deficient (a product through a narrower middle) or with zero rows;
+    # the pivots are the columns taken greedily from the left, each one
+    # raising the rank of those taken before it
     rng = random.Random(29)
     ranks = collections.Counter()
     for case in range(600):
@@ -311,7 +313,13 @@ def test_rank_matches_gauss_jordan():
         if case % 7 == 0:
             const[rng.randrange(nrows)] = [0] * ncols
         expected = rank_by_gauss_jordan(const)
-        assert _rank_of_constant_term(const) == expected, const
+        pivots = _pivot_columns(const)
+        assert len(pivots) == expected, const
+        greedy = []
+        for j in range(ncols):
+            if rank_by_gauss_jordan([[row[c] for c in greedy + [j]] for row in const]) > len(greedy):
+                greedy.append(j)
+        assert pivots == greedy, const
         ranks[expected < min(nrows, ncols)] += 1
     assert ranks[True] >= 150 and ranks[False] >= 150
 
@@ -515,7 +523,8 @@ def test_borel_translate_preserves_profiles():
 
 
 def test_borel_translate_seeds_must_be_non_negative_ints():
-    # -3 would draw the translate of 3, since random.Random(-s) is random.Random(s)
+    # the seed is the first shift x tried; a negative one could reach
+    # x = -1, where u loses its diagonal 1 + x and is no change of basis
     arc = parse_arc_matrix("1,0,t,0; 0,1,0,t", 8)
     for bad in (-3, True, 1.5, "x", None):
         with pytest.raises(ValueError, match="seed must be a non-negative int"):
@@ -566,21 +575,95 @@ def _seeded_arcs(rng):
             )
 
 
+def _translate_outcome(translate, arc, seed):
+    """NotAnArc when the translate raises it, or else the profile of the
+    translate, which must lie in the big cell: the plane partition, or the
+    position and bound of the PrecisionExceeded it raises."""
+    try:
+        moved = translate(arc, seed=seed)
+    except NotAnArc:
+        return NotAnArc
+    check_big_cell_by_series_det(moved)
+    try:
+        return invariant_factor_profile(moved)
+    except PrecisionExceeded as exc:
+        return PrecisionExceeded, exc.position, exc.bound
+
+
 def test_big_cell_checks_agree_with_series_determinants():
-    """The constant-term checks decide, and translate, exactly as the series
-    determinants they replaced."""
+    """The constant-term checks decide exactly as the series determinants
+    they replaced, and the column-addition translate ends as the random
+    translate does: both raise the same error, or both reach the big cell
+    with the same profile."""
     checks, translates = set(), set()
     for arc in _seeded_arcs(random.Random(59)):
         got = _outcome(_check_big_cell, arc)
         assert got == _outcome(check_big_cell_by_series_det, arc)
         checks.add(got if got is None else got[0])
         for seed in (0, 1):
-            moved = _outcome(borel_translate, arc, seed=seed)
-            assert moved == _outcome(borel_translate_by_series_det, arc, seed=seed)
-            translates.add(type(moved))
+            moved = _translate_outcome(borel_translate, arc, seed)
+            assert moved == _translate_outcome(borel_translate_by_series_det, arc, seed)
+            translates.add(moved if isinstance(moved, type) else type(moved))
     assert checks == {None, NotAnArc, NotInBigCell}
     # arcs translate; matrices of rank-deficient constant term raise NotAnArc
-    assert translates == {SeriesMatrix, tuple}
+    assert translates == {PlanePartition, NotAnArc}
+
+
+def _out_of_big_cell(arc, rng):
+    """A big-cell arc (X | D) right-multiplied by an upper-triangular integer
+    matrix that leaves the big cell: the column of D with its unit in row r
+    becomes a times itself minus an earlier column whose constant term is a
+    in row r.  None when no entry of X is a unit, since then no such change
+    leaves the big cell."""
+    k, n = arc.nrows, arc.ncols
+    const = arc.constant_term()
+    units = [(r, i) for r in range(k) for i in range(n - k) if const[r][i]]
+    if not units:
+        return None
+    r, i = rng.choice(units)
+    j = n - 1 - r
+    return SeriesMatrix([row[:j] + (row[j] * const[r][i] - row[i],) + row[j + 1 :] for row in arc.entries])
+
+
+def test_borel_translate_is_total():
+    """Every arc reaches the big cell from every seed, a large one included,
+    by a change of its last k columns only, with the random translate's
+    profile; nothing but NotAnArc is raised, and only for non-arcs."""
+    rng = random.Random(61)
+    arcs = list(_seeded_arcs(rng))
+    moved_out = 0
+    for k, n in [(2, 4), (2, 5), (3, 5), (3, 6), (4, 7), (4, 8)]:
+        for _ in range(6):
+            beta = random_plane_partition(GrassmannShape(k, n), 2, rng)
+            arc = _out_of_big_cell(generic_arc(beta, precision=10, seed=rng.randrange(10**6)), rng)
+            if arc is not None:
+                assert _outcome(_check_big_cell, arc)[0] is NotInBigCell
+                arcs.append(arc)
+                moved_out += 1
+    assert moved_out >= 20
+    outcomes = collections.Counter()
+    for arc in arcs:
+        k, n = arc.nrows, arc.ncols
+        expected = _translate_outcome(borel_translate_by_series_det, arc, 0)
+        for seed in (0, 1, 2, 10**9):
+            got = _translate_outcome(borel_translate, arc, seed)
+            assert got == expected, (format_arc_matrix(arc), seed)
+            if got is not NotAnArc:
+                moved = borel_translate(arc, seed=seed)
+                assert [row[: n - k] for row in moved.entries] == [row[: n - k] for row in arc.entries]
+            outcomes[got if got is NotAnArc else type(got)] += 1
+    assert min(outcomes.values()) >= 40, outcomes
+
+
+def test_borel_translate_skips_the_roots_of_the_last_block():
+    # J = (1, 2) and C = I, and the last constant block B = diag(0, -1)
+    # gives det(B + x I) = x (x - 1): shifts 0 and 1 stay out of the big
+    # cell, so seeds 0, 1 and 2 translate by x = 2 and seed 3 by x = 3
+    arc = parse_arc_matrix("1, 0, t, 0; 0, 1, 0, t-1", 6)
+    for seed, x in [(0, 2), (1, 2), (2, 2), (3, 3)]:
+        moved = borel_translate(arc, seed=seed)
+        assert moved == parse_arc_matrix(f"1, 0, {x}+t, 0; 0, 1, 0, {x - 1}+t", 6), seed
+        assert invariant_factor_profile(moved) == PlanePartition.zero(G24)
 
 
 def test_parsed_integral_coefficients_are_ints():
