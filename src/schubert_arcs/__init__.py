@@ -34,8 +34,7 @@ _EXPORTS = {
     ),
     "series": (
         "NotAnArc", "NotInBigCell", "SeriesMatrix", "TruncatedSeries",
-        "borel_translate", "invariant_factor_profile", "is_generic_form",
-        "plucker_order_of_arc",
+        "borel_translate", "invariant_factor_profile",
     ),
     "networks": (
         "PlanarNetwork", "essential_weighting", "gamma0", "generic_arc", "plucker_ord",

@@ -10,11 +10,12 @@ allocate or index included), 3 when a computation runs out of series
 precision, 4 for internal invariant violations.
 
 ``main`` parses the shape and the --beta, --beta2, --lambda and --plucker
-values; each handler imports the layers it uses, so a run loads only what
-its subcommand needs: the LP subcommands never load the series or network
-stacks, and the containment subcommands (and ``order --plucker``) load
-neither the series layer nor the LP solver.  The parser builds the options
-of the named subcommand only.
+values with ``partitions`` and ``plane_partitions``, which load with this
+module; a handler imports at call time only the layers not yet loaded, so a
+run loads only what its subcommand needs: the LP subcommands never load the
+series or network stacks, and the containment subcommands (and ``order
+--plucker``) load neither the series layer nor the LP solver.  The parser
+builds the options of the named subcommand only.
 """
 
 from __future__ import annotations
@@ -22,8 +23,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .partitions import GrassmannShape, _read_natural, parse_multi_index, parse_partition
-from .plane_partitions import PrecisionExceeded, parse_plane_partition
+from .partitions import (
+    GrassmannShape, _read_natural, all_partitions, format_partition, parse_multi_index, parse_partition,
+    singular_components,
+)
+from .plane_partitions import (
+    Infinity, PrecisionExceeded, essential_profile, format_ext, format_ext_matrix, format_plane_partition,
+    ord_schubert, parse_plane_partition,
+)
 
 
 def natural(text: str) -> int:
@@ -42,14 +49,11 @@ def _frac_matrix(matrix) -> str:
 
 
 def _ext_json(value):
-    from .plane_partitions import Infinity, format_ext
-
     return format_ext(value) if isinstance(value, Infinity) else value
 
 
 def cmd_lct(args):
     from .lct import arnold_witness
-    from .partitions import format_partition
 
     arnold, vertex = arnold_witness(args.lam)
     payload = {
@@ -70,7 +74,6 @@ def cmd_lct(args):
 
 def cmd_lct_table(args):
     from .lct import arnold_witness
-    from .partitions import all_partitions, format_partition
 
     rows = []
     plain = []
@@ -89,12 +92,6 @@ def cmd_lct_table(args):
 
 
 def cmd_profile(args):
-    from .plane_partitions import (
-        essential_profile,
-        format_ext,
-        format_ext_matrix,
-        format_plane_partition,
-    )
     from .series import (
         NotInBigCell,
         borel_translate,
@@ -132,8 +129,6 @@ def cmd_profile(args):
 
 
 def cmd_order(args):
-    from .plane_partitions import format_ext, ord_schubert
-
     if args.lam is not None:
         value = ord_schubert(args.beta, args.lam)
     else:
@@ -153,7 +148,6 @@ def cmd_nash_compare(args):
 
 def cmd_codim(args):
     from . import nash
-    from .plane_partitions import format_ext
 
     beta = args.beta
     if not beta.is_finite:
@@ -171,7 +165,6 @@ def cmd_codim(args):
 
 def cmd_chain(args):
     from . import nash
-    from .plane_partitions import format_plane_partition
 
     chain = nash.codim_chain(args.beta)
     payload = {
@@ -184,7 +177,6 @@ def cmd_chain(args):
 
 def cmd_nash_valuations(args):
     from . import nash
-    from .plane_partitions import format_plane_partition
 
     valuations = nash.nash_valuations(args.lam)
     formatted = [format_plane_partition(v) for v in valuations]
@@ -193,8 +185,6 @@ def cmd_nash_valuations(args):
 
 def cmd_sing(args):
     from . import nash
-    from .partitions import format_partition, singular_components
-    from .plane_partitions import format_plane_partition
 
     lam = args.lam
     components = singular_components(lam)

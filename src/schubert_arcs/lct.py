@@ -76,21 +76,17 @@ def _solve(lam: Partition) -> LPSolution:
 
 def arnold_multiplicity(lam: Partition) -> Fraction:
     """Maximum of ord(lambda) over normalized Schubert valuations."""
-    from fractions import Fraction
-
-    return Fraction(_solve(lam).value)
+    return _solve(lam).value
 
 
 def arnold_witness(lam: Partition) -> tuple[Fraction, tuple[tuple[Fraction, ...], ...]]:
     """Arnold multiplicity together with a maximizing plane R-partition."""
-    from fractions import Fraction
-
     solution = _solve(lam)
     c = lam.shape.cols
     vertex = tuple(
         tuple(solution.vertex[r * c + j] for j in range(c)) for r in range(lam.shape.k)
     )
-    return Fraction(solution.value), vertex
+    return solution.value, vertex
 
 
 def integer_witness(lam: Partition) -> PlanePartition:

@@ -258,11 +258,9 @@ def tropical_minor_order(beta: PlanePartition, sources, sinks) -> ExtNat:
 
     Exactness rests on the positivity of the path-family expansion: with
     all family weights entering with coefficient +1, the smallest exponent
-    cannot cancel.  Empty index sets give the empty minor, order 0.
+    cannot cancel.  Empty index sets give the empty minor, whose one family
+    is empty: order 0.
     """
-    sources, sinks = tuple(sources), tuple(sinks)
-    if not sources and not sinks:
-        return 0
     vertex, edge = _placement(beta.shape, weight_exponents(beta))
     return _least_family_total(gamma0(beta.shape), sources, sinks, vertex, edge)
 
@@ -280,7 +278,8 @@ def plucker_ord(beta: PlanePartition, entries) -> ExtNat:
 def _plucker_orders(beta: PlanePartition):
     """(multi-index, Pluecker order) for every multi-index of the shape, in
     lexicographic order, with the weights placed once for the whole stream.
-    The empty minor, multi-index [n-k+1, ..., n], has order 0.
+    The empty minor, multi-index [n-k+1, ..., n], has one empty family:
+    order 0.
 
     Lazy, so a caller that stops early evaluates no further minor.
     """
@@ -289,7 +288,7 @@ def _plucker_orders(beta: PlanePartition):
     network = gamma0(shape)
     for entries in combinations(range(1, shape.n + 1), shape.k):
         rows, cols = minor_of_multi_index(entries, shape)
-        yield entries, _least_family_total(network, rows, cols, vertex, edge) if rows else 0
+        yield entries, _least_family_total(network, rows, cols, vertex, edge)
 
 
 def generic_arc(

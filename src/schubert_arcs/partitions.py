@@ -308,12 +308,6 @@ def final_minor(shape: GrassmannShape, a: int, b: int) -> tuple[tuple[int, ...],
     return tuple(range(a, a + r + 1)), tuple(range(b, b + r + 1))
 
 
-def final_multi_index(shape: GrassmannShape, a: int, b: int) -> tuple[int, ...]:
-    """Pluecker multi-index of the final minor at (a, b)."""
-    rows, cols = final_minor(shape, a, b)
-    return multi_index_of_minor(rows, cols, shape)
-
-
 # -- Text formats ------------------------------------------------------------
 
 

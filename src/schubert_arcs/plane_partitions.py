@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .partitions import GrassmannShape, Partition, _check_natural, _read_natural, _Value, schubert_conditions
+from .partitions import (
+    GrassmannShape, Partition, _check_natural, _read_natural, _Value, all_partitions, schubert_conditions,
+)
 
 
 class Infinity:
@@ -273,8 +275,6 @@ def contact_profile(beta: PlanePartition) -> dict[Partition, ExtNat]:
     Determined by the rectangle orders alone: the order for lam is the
     minimum over the corners of lam.
     """
-    from .partitions import all_partitions
-
     return {lam: ord_schubert(beta, lam) for lam in all_partitions(beta.shape)}
 
 

@@ -21,8 +21,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .partitions import GrassmannShape, _check_multi_index, _check_natural, _read_natural, final_multi_index
-from .plane_partitions import PlanePartition, PrecisionExceeded, essential_profile, from_essential
+from .partitions import GrassmannShape, _check_natural, _read_natural
+from .plane_partitions import PlanePartition, PrecisionExceeded, from_essential
 
 
 # exact coefficient and scalar types, matched by type() so that a bool does
@@ -328,10 +328,15 @@ def _pivot_columns(const) -> list[int]:
     return pivots
 
 
+def _check_proper(arc: SeriesMatrix) -> None:
+    """Raise NotAnArc unless the arc has fewer rows than columns."""
+    if not arc.nrows < arc.ncols:
+        raise NotAnArc(f"a {arc.nrows} x {arc.ncols} matrix does not present a proper subspace")
+
+
 def _check_big_cell(arc: SeriesMatrix) -> None:
+    _check_proper(arc)
     k, n = arc.nrows, arc.ncols
-    if not k < n:
-        raise NotAnArc(f"a {k} x {n} matrix does not present a proper subspace")
     const = arc.constant_term()
     # a minor is a unit exactly when its constant term, the determinant of
     # the constant block, is nonzero; a unit last block already gives the
@@ -390,41 +395,6 @@ def invariant_factor_profile(arc: SeriesMatrix) -> PlanePartition:
         raise RuntimeError(f"internal: profile assembly failed ({exc})") from exc
 
 
-def plucker_order_of_arc(arc: SeriesMatrix, entries) -> int:
-    """Vanishing order of the Pluecker coordinate of a 1-based multi-index,
-    as :meth:`TruncatedSeries.order` gives it: ``arc.precision + 1`` is only
-    a lower bound."""
-    k, n = arc.nrows, arc.ncols
-    cols = tuple(e - 1 for e in _check_multi_index(entries, GrassmannShape(k, n)))
-    return series_det(arc, range(k), cols).order()
-
-
-def is_generic_form(arc: SeriesMatrix, beta: PlanePartition) -> bool:
-    """Whether the arc realizes beta the way a network arc does: big-cell
-    form, profile equal to beta, and each rectangle contact order already
-    attained on the final minor alone."""
-    try:
-        profile = invariant_factor_profile(arc)
-    except NotInBigCell:
-        return False
-    if profile != beta:
-        return False
-    shape = beta.shape
-    alpha = essential_profile(beta)
-    for a in range(1, shape.k + 1):
-        for b in range(1, shape.cols + 1):
-            target = alpha[a - 1][b - 1]
-            got = plucker_order_of_arc(arc, final_multi_index(shape, a, b))
-            if got <= arc.precision:
-                if got != target:
-                    return False
-            elif target >= got:
-                raise PrecisionExceeded((a, b), got)
-            else:
-                return False
-    return True
-
-
 def borel_translate(arc: SeriesMatrix, seed: int = 0) -> SeriesMatrix:
     """Right-translate by an integer upper-triangular matrix into the
     opposite big cell.
@@ -441,8 +411,10 @@ def borel_translate(arc: SeriesMatrix, seed: int = 0) -> SeriesMatrix:
     degree k in x, so one of x = seed, ..., seed + k makes it a unit and
     the translation is deterministic and total.  The seed, the first x
     tried, must be a non-negative int; any other seed raises ValueError.
+    A matrix with no fewer rows than columns raises NotAnArc.
     """
     _check_natural(seed, "seed")
+    _check_proper(arc)
     k, n = arc.nrows, arc.ncols
     # cleared rows span the same row space, so every block below is of ints
     const = _integral_rows(arc.constant_term())

@@ -11,8 +11,10 @@ the equalized threshold program, or by brute-force search over integer
 plane partitions, singular loci are read off torus fixed points, the
 Pluecker orders of G(2, 4) come from their closed forms, big-cell
 membership is decided by series determinants rather than by constant
-terms, ranks of constant terms by Gauss-Jordan elimination in Fractions,
-generic arcs are assembled from path sums through the checking
+terms, Pluecker orders of concrete arcs and the generic form of an arc
+(its profile attained on the final minors alone) are read off series
+minors rather than tropically, ranks of constant terms by Gauss-Jordan
+elimination in Fractions, generic arcs are assembled from path sums through the checking
 constructors, plateau corners by scanning whole regions, plane partitions
 are listed by the library's former recursive search, and containment
 verdicts with the necessary conditions first: the Pluecker orders of
@@ -34,11 +36,14 @@ from schubert_arcs import (
     NotInBigCell,
     Partition,
     PlanePartition,
+    PrecisionExceeded,
     SeriesMatrix,
     TruncatedSeries,
     all_partitions,
     all_plane_partitions,
+    essential_profile,
     floors,
+    invariant_factor_profile,
     weight_exponents,
 )
 from schubert_arcs.lct import _var
@@ -50,8 +55,9 @@ from schubert_arcs.nash import (
     _same_shape,
     sufficient_by_weight_exponents,
 )
-from schubert_arcs.partitions import schubert_conditions
+from schubert_arcs.partitions import _check_multi_index, final_minor, multi_index_of_minor, schubert_conditions
 from schubert_arcs.plane_partitions import _diagonal_positions, ord_schubert
+from schubert_arcs.series import series_det
 from schubert_arcs.simplex import LPSolution
 
 
@@ -506,6 +512,50 @@ def borel_translate_by_series_det(arc, seed=0):
         if subset_dp_det(candidate, range(k), range(n - k, n)).is_unit:
             return candidate
     raise RuntimeError("internal: failed to reach the big cell by translation")
+
+
+# -- Arc checkers: Pluecker orders and generic form by series minors ----------
+
+
+def final_multi_index(shape: GrassmannShape, a: int, b: int) -> tuple[int, ...]:
+    """Pluecker multi-index of the final minor at (a, b)."""
+    rows, cols = final_minor(shape, a, b)
+    return multi_index_of_minor(rows, cols, shape)
+
+
+def plucker_order_of_arc(arc: SeriesMatrix, entries) -> int:
+    """Vanishing order of the Pluecker coordinate of a 1-based multi-index,
+    as :meth:`TruncatedSeries.order` gives it: ``arc.precision + 1`` is only
+    a lower bound."""
+    k, n = arc.nrows, arc.ncols
+    cols = tuple(e - 1 for e in _check_multi_index(entries, GrassmannShape(k, n)))
+    return series_det(arc, range(k), cols).order()
+
+
+def is_generic_form(arc: SeriesMatrix, beta: PlanePartition) -> bool:
+    """Whether the arc realizes beta the way a network arc does: big-cell
+    form, profile equal to beta, and each rectangle contact order already
+    attained on the final minor alone."""
+    try:
+        profile = invariant_factor_profile(arc)
+    except NotInBigCell:
+        return False
+    if profile != beta:
+        return False
+    shape = beta.shape
+    alpha = essential_profile(beta)
+    for a in range(1, shape.k + 1):
+        for b in range(1, shape.cols + 1):
+            target = alpha[a - 1][b - 1]
+            got = plucker_order_of_arc(arc, final_multi_index(shape, a, b))
+            if got <= arc.precision:
+                if got != target:
+                    return False
+            elif target >= got:
+                raise PrecisionExceeded((a, b), got)
+            else:
+                return False
+    return True
 
 
 # -- Singular loci from torus fixed points -------------------------------------

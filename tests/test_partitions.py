@@ -20,7 +20,6 @@ from schubert_arcs import (
 )
 from schubert_arcs.partitions import (
     final_minor,
-    final_multi_index,
     format_multi_index,
     format_partition,
     minor_of_multi_index,
@@ -32,6 +31,7 @@ from itertools import combinations
 
 from oracles import (
     column_slice,
+    final_multi_index,
     fixed_point_census,
     minor_leq,
     rectangle_ideal_minors,

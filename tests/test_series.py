@@ -19,8 +19,7 @@ from schubert_arcs import (
     essential_profile,
     generic_arc,
     invariant_factor_profile,
-    is_generic_form,
-    plucker_order_of_arc,
+    plucker_ord,
 )
 from schubert_arcs import PlanePartition
 from schubert_arcs.plane_partitions import parse_plane_partition
@@ -39,8 +38,11 @@ from oracles import (
     borel_translate_by_series_det,
     check_big_cell_by_series_det,
     column_slice,
+    grown_plane_partition,
+    is_generic_form,
     naive_alpha,
     perm_det,
+    plucker_order_of_arc,
     random_plane_partition,
     rank_by_gauss_jordan,
     series_add,
@@ -484,14 +486,19 @@ def test_plucker_orders_of_generic_arc():
         (2, 4): 1,
         (3, 4): 0,
     }
+    # the arc is generic for its stratum, so the library's tropical orders agree
+    beta = parse_plane_partition("2 2; 2 1", G24)
     for entries, order in expected.items():
         assert plucker_order_of_arc(arc, entries) == order
+        assert plucker_ord(beta, entries) == order
     # the non-generic representative of the same stratum degenerates [1,4]
     special = parse_arc_matrix("t^2,0,0,1; 0,t,1,0", 8)
     assert plucker_order_of_arc(special, (1, 4)) == special.precision + 1 == 9
     for entries in [(1.5, 4), (True, 4), (4, 1), (1, 2, 3), (0, 4), (1, 5)]:
         with pytest.raises(ValueError):
             plucker_order_of_arc(arc, entries)
+        with pytest.raises(ValueError):
+            plucker_ord(beta, entries)
 
 
 def test_is_generic_form():
@@ -529,6 +536,68 @@ def test_borel_translate_seeds_must_be_non_negative_ints():
     for bad in (-3, True, 1.5, "x", None):
         with pytest.raises(ValueError, match="seed must be a non-negative int"):
             borel_translate(arc, seed=bad)
+
+
+def test_borel_translate_rejects_matrices_without_fewer_rows_than_columns():
+    # the k < n check of invariant_factor_profile, not an unchanged matrix
+    for text in ["1", "1, 0; 0, 1", "1; t"]:
+        matrix = parse_arc_matrix(text, 4)
+        message = f"a {matrix.nrows} x {matrix.ncols} matrix does not present a proper subspace"
+        for check in (_check_big_cell, borel_translate):
+            with pytest.raises(NotAnArc, match=message):
+                check(matrix)
+
+
+def _generic_arcs(rng):
+    """Seeded generic arcs on G(2,4) .. G(4,8), each with its stratum of
+    k to 3k boxes, so at most the precision 12 on the diagonal."""
+    for k, n in [(2, 4), (2, 5), (3, 5), (3, 6), (4, 7), (4, 8)]:
+        for _ in range(3):
+            beta = grown_plane_partition(PlanePartition.zero(GrassmannShape(k, n)), rng.randint(k, 3 * k), rng)
+            yield beta, generic_arc(beta, precision=12, seed=rng.randrange(10**6))
+
+
+def test_row_operations_keep_the_profile():
+    """g . (X | D) for g in GL_k(Z[t]) with det g(0) != 0 is the same arc in
+    other coordinates: still in big-cell form, with the same profile."""
+    rng = random.Random(67)
+    for beta, arc in _generic_arcs(rng):
+        k, prec = arc.nrows, arc.precision
+        g0 = [[0]]
+        while len(_pivot_columns(g0)) < k:
+            g0 = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+        g = [
+            [TruncatedSeries([g0[i][u], rng.randint(-2, 2), rng.randint(-2, 2)], prec) for u in range(k)]
+            for i in range(k)
+        ]
+        moved = SeriesMatrix(
+            [
+                [
+                    sum((g[i][u] * arc.entries[u][c] for u in range(1, k)), g[i][0] * arc.entries[0][c])
+                    for c in range(arc.ncols)
+                ]
+                for i in range(k)
+            ]
+        )
+        _check_big_cell(moved)
+        assert invariant_factor_profile(moved) == invariant_factor_profile(arc) == beta
+
+
+def test_substituting_t_squared_doubles_the_profile():
+    """t -> t^2 sends the coefficient of t^i to t^(2i) at precision 2P and
+    every vanishing order to twice itself, so the profile doubles."""
+    rng = random.Random(71)
+    for beta, arc in _generic_arcs(rng):
+        prec = 2 * arc.precision
+
+        def substituted(series):
+            coeffs = [0] * (prec + 1)
+            coeffs[::2] = series.coeffs
+            return TruncatedSeries(coeffs)
+
+        squared = SeriesMatrix([[substituted(e) for e in row] for row in arc.entries])
+        doubled = PlanePartition([[2 * e for e in row] for row in beta.rows], beta.shape)
+        assert invariant_factor_profile(squared) == doubled
 
 
 def _outcome(call, *args, **kwargs):
