@@ -1,15 +1,19 @@
 """Planar networks whose path sums parametrize generic arcs of a stratum.
 
 The standard network for G(k, n) is a grid: internal vertices v(i, j) for
-1 <= i <= k, 1 <= j <= n-k, source i at the right end of row i, sink j at
-the bottom of column j.  Horizontal edges run right to left, vertical edges
-top to bottom, so paths are monotone staircases.  Every minor of the matrix
-of path sums expands as a sum over vertex-disjoint path families with all
-coefficients +1; consequently vanishing orders of minors can be computed
-tropically, replacing products along a path by sums of exponents and the
-outer sum by a minimum.
+1 <= i <= k, 1 <= j <= n-k, source i the vertex v(i, n-k+1) at the right
+end of row i, sink j the vertex v(k+1, j) at the bottom of column j.
+Horizontal edges run right to left, vertical edges top to bottom, so paths
+are monotone staircases.  Every minor of the matrix of path sums expands as
+a sum over vertex-disjoint path families with all coefficients +1;
+consequently vanishing orders of minors can be computed tropically,
+replacing products along a path by sums of exponents and the outer sum by a
+minimum.
 
-Grid positions, source labels, and sink labels are 1-based throughout.
+A weighting is its k x (n-k) matrix of series: :func:`weight_matrix` puts
+entry (i, j) on the essential position of (i, j) and reads the shape from
+the matrix.  Grid positions, source labels and sink labels are 1-based
+throughout; ``paths`` and ``families`` accept only int labels in range.
 
 Tropical orders need no series, so only the functions that build series
 weights or arcs import the series layer, when called; ``nash`` never loads it.
@@ -34,30 +38,22 @@ class PlanarNetwork:
         self._path_cache: dict[tuple[int, int], tuple] = {}
         self._family_cache: dict[tuple, tuple] = {}
 
-    def source(self, i: int) -> tuple[int, int]:
-        if type(i) is not int or not 1 <= i <= self.shape.k:
-            raise ValueError(f"no source {i!r}")
-        return (i, self.shape.cols + 1)
-
-    def sink(self, j: int) -> tuple[int, int]:
-        if type(j) is not int or not 1 <= j <= self.shape.cols:
-            raise ValueError(f"no sink {j!r}")
-        return (self.shape.k + 1, j)
-
     def paths(self, i: int, j: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """All paths from source i to sink j, as vertex tuples: one for each
-        c >= d_i >= ... >= d_(k-1) >= j, the columns where it leaves rows
-        i, ..., k-1 (it leaves row k at j), in lexicographic order of the d."""
-        start = self.source(i)
-        self.sink(j)
+        """All paths from source i, the vertex (i, n-k+1), to sink j, the
+        vertex (k+1, j), as vertex tuples: one for each c >= d_i >= ... >=
+        d_(k-1) >= j, the columns where it leaves rows i, ..., k-1 (it
+        leaves row k at j), in lexicographic order of the d.  Labels are
+        ints in range, checked before the cache is read."""
+        k, c = self.shape.k, self.shape.cols
+        if type(i) is not int or type(j) is not int or not (1 <= i <= k and 1 <= j <= c):
+            raise ValueError(f"no paths from source {i!r} to sink {j!r}")
         if (i, j) in self._path_cache:
             return self._path_cache[(i, j)]
-        k, c = self.shape.k, self.shape.cols
         # vertex (r, x) is grid[r][x], one tuple shared by every path
         grid = {r: [(r, x) for x in range(c + 2)] for r in range(i, k + 2)}
         out = []
         for leave in combinations_with_replacement(range(c, j - 1, -1), k - i):
-            path, col = [start], c + 1
+            path, col = [grid[i][c + 1]], c + 1
             for r, down in enumerate((*leave, j), start=i):
                 path += grid[r][col - 1 : down - 1 : -1]
                 path.append(grid[r + 1][down])
@@ -133,32 +129,12 @@ def _placement(shape: GrassmannShape, matrix):
     return vertex, edge
 
 
-class EssentialWeighting:
-    """Weights on the essential positions of the staircase network.
-
-    Built from a k x (n-k) matrix of series; every other edge and vertex
-    has weight one.  Every weight must be a TruncatedSeries; anything else
-    raises ValueError.  The precision is that of the first vertex weight:
-    every shape has the vertex (k, n-k).
-    """
-
-    def __init__(self, shape: GrassmannShape, w_matrix):
-        from .series import TruncatedSeries
-
-        w_matrix = tuple(tuple(row) for row in w_matrix)
-        if len(w_matrix) != shape.k or any(len(row) != shape.cols for row in w_matrix):
-            raise ValueError(f"expected a {shape.k} x {shape.cols} weight matrix")
-        for w in [w for row in w_matrix for w in row]:
-            if not isinstance(w, TruncatedSeries):
-                raise ValueError(f"weights must be TruncatedSeries: {w!r}")
-        self.shape = shape
-        self.vertex_weights, self.edge_weights = _placement(shape, w_matrix)
-        self.precision = next(iter(self.vertex_weights.values())).precision
-
-
-def essential_weighting(beta: PlanePartition, precision: int = 16, seed: int | None = None) -> EssentialWeighting:
-    """The weighting realizing beta: weight t^c at each essential position,
-    where c is the exponent matrix of beta, times a unit.
+def essential_weighting(
+    beta: PlanePartition, precision: int = 16, seed: int | None = None
+) -> list[list[TruncatedSeries]]:
+    """The weights realizing beta, as a k x (n-k) matrix of series: entry
+    (i, j) is t^c times a unit, c the exponent matrix of beta at (i, j),
+    and :func:`weight_matrix` puts it on the essential position of (i, j).
 
     ``seed=None`` takes every unit to be 1; a non-negative int seed draws
     positive integer units reproducibly, and any other seed raises
@@ -170,14 +146,13 @@ def essential_weighting(beta: PlanePartition, precision: int = 16, seed: int | N
         raise ValueError("infinite entries cannot be realized at finite precision")
     exps = weight_exponents(beta)
     units = _unit_matrix(beta.shape, seed)
-    w = [
+    return [
         [
             TruncatedSeries.t_power(exps[i][j], precision, coeff=units[i][j])
             for j in range(beta.shape.cols)
         ]
         for i in range(beta.shape.k)
     ]
-    return EssentialWeighting(beta.shape, w)
 
 
 def _unit_matrix(shape: GrassmannShape, seed: int | None):
@@ -192,10 +167,13 @@ def _unit_matrix(shape: GrassmannShape, seed: int | None):
     ]
 
 
-def weight_matrix(weighting: EssentialWeighting) -> SeriesMatrix:
-    """Matrix of path sums in the staircase network of the weighting's
-    shape: entry (i, j) adds the weights of all paths from source i to
-    sink j.
+def weight_matrix(weights) -> SeriesMatrix:
+    """Matrix of path sums in the staircase network of G(k, k+c) weighted
+    by a k x c matrix of series: entry (i, j) of the weights sits on the
+    essential position of (i, j), every other edge and vertex has weight
+    one, and entry (i, j) of the result adds the weights of all paths from
+    source i to sink j.  An empty or ragged matrix, or a weight that is no
+    TruncatedSeries, raises ValueError.
 
     One backward pass over the network, with no path listed: rows from k
     down to 1, columns from 1 to c+1, each vertex keeps its path sums to
@@ -203,16 +181,22 @@ def weight_matrix(weighting: EssentialWeighting) -> SeriesMatrix:
     over its out-edges, of the edge weight times the head's path sums.
     Only weights that exist are multiplied in, a path sum that is still the
     empty product takes the first weight as it is, and every sum starts
-    from its first term, so the pass costs O(k c^2) series operations,
-    c = n - k.  The entries share the least precision among them, at most
-    the weighting's, since the weight that sets that lies on some path.
+    from its first term, so the pass costs O(k c^2) series operations.
+    Every entry is known to the least precision among the weights, since
+    the weight that sets it lies on some path.
     """
     from .series import SeriesMatrix, TruncatedSeries
 
-    k, c = weighting.shape.k, weighting.shape.cols
-    vertex_weights, edge_weights = weighting.vertex_weights, weighting.edge_weights
+    k, c = len(weights), len(weights[0]) if weights else 0
+    if not c or any(len(row) != c for row in weights):
+        raise ValueError("weights must form a non-empty rectangular matrix")
+    flat = [w for row in weights for w in row]
+    for w in flat:
+        if type(w) is not TruncatedSeries:
+            raise ValueError(f"weights must be TruncatedSeries: {w!r}")
+    vertex_weights, edge_weights = _placement(GrassmannShape(k, k + c), weights)
     # the empty product, told apart by identity: a weight times it is the weight
-    one = TruncatedSeries.one(weighting.precision)
+    one = TruncatedSeries.one(min(w.precision for w in flat))
     sums = {(k + 1, j): {j: one} for j in range(1, c + 1)}
     for r in range(k, 0, -1):
         for col in range(1, c + 2):
@@ -296,7 +280,7 @@ def generic_arc(
 ) -> SeriesMatrix:
     """A concrete arc generic for beta, in big-cell form (k x n).
 
-    The affine block is the weight matrix of the essential weighting; the
+    The affine block is the weight matrix of the essential weights; the
     unit coefficients are all 1 by default or drawn from a generator seeded
     by a non-negative int (any other seed raises ValueError).
     Infinite entries are rejected: they have no finite-precision realization.
@@ -305,7 +289,7 @@ def generic_arc(
     """
     from .series import big_cell_arc
 
-    weighting = essential_weighting(beta, precision, seed)  # inf entries raise here
+    weights = essential_weighting(beta, precision, seed)  # inf entries raise here
     if precision < diagonal_sum(beta, 1, 1):
         raise PrecisionExceeded((1, 1), precision + 1)
-    return big_cell_arc(weight_matrix(weighting))
+    return big_cell_arc(weight_matrix(weights))

@@ -260,8 +260,8 @@ def rim_size(lam: Partition) -> int:
 #
 # On the opposite big cell a subspace is the row span of (X | D) with X of
 # size k x (n-k) and D the k x k antidiagonal unit matrix.  Every Pluecker
-# coordinate restricts, up to sign, to a minor of X; the dictionary between
-# multi-indexes and minor labels is below.  A minor label is a pair
+# coordinate restricts, up to sign, to a minor of X; the dictionary from
+# multi-indexes to minor labels is below.  A minor label is a pair
 # (rows, cols) of equal-length strictly increasing tuples, 1-based.
 
 
@@ -278,34 +278,6 @@ def minor_of_multi_index(entries, shape: GrassmannShape) -> tuple[tuple[int, ...
     dropped = {n + 1 - e for e in entries if e > n - k}
     rows = tuple(i for i in range(1, k + 1) if i not in dropped)
     return rows, cols
-
-
-def multi_index_of_minor(rows, cols, shape: GrassmannShape) -> tuple[int, ...]:
-    """Inverse of :func:`minor_of_multi_index`."""
-    k, n = shape.k, shape.n
-    rows, cols = tuple(rows), tuple(cols)
-    if len(rows) != len(cols):
-        raise ValueError("minor label needs equally many rows and columns")
-    if any(type(x) is not int for x in rows + cols):
-        raise ValueError(f"minor label entries must be integers: {rows}, {cols}")
-    if any(not 1 <= i <= k for i in rows) or any(not 1 <= j <= n - k for j in cols):
-        raise ValueError(f"minor label out of range for {shape!r}: {rows}, {cols}")
-    complement = (n + 1 - i for i in range(1, k + 1) if i not in set(rows))
-    return _check_multi_index(tuple(sorted(cols)) + tuple(sorted(complement)), shape)
-
-
-def final_minor(shape: GrassmannShape, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The largest minor with upper-left entry (a, b): rows a..a+r, columns
-    b..b+r where r = min(k-a, n-k-b).
-
-    These are the maximal elements above (a, b) in the minor order; their
-    vanishing orders along an arc determine those of all other minors.
-    """
-    k, c = shape.k, shape.cols
-    if not (1 <= a <= k and 1 <= b <= c):
-        raise ValueError(f"position ({a}, {b}) outside the {k} x {c} box")
-    r = min(k - a, c - b)
-    return tuple(range(a, a + r + 1)), tuple(range(b, b + r + 1))
 
 
 # -- Text formats ------------------------------------------------------------

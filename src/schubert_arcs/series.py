@@ -93,10 +93,6 @@ class TruncatedSeries:
         return cls._of((0,) * (precision + 1))
 
     @classmethod
-    def constant(cls, c, precision: int) -> "TruncatedSeries":
-        return cls([c], precision)
-
-    @classmethod
     def one(cls, precision: int) -> "TruncatedSeries":
         _check_natural(precision, "precision")
         return cls._of((1,) + (0,) * precision)
@@ -163,10 +159,6 @@ class TruncatedSeries:
             if c:
                 return i
         return self.precision + 1
-
-    @property
-    def is_unit(self) -> bool:
-        return bool(self.coeffs[0])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
@@ -243,8 +235,8 @@ def big_cell_arc(affine: SeriesMatrix) -> SeriesMatrix:
 
 def series_det(matrix: SeriesMatrix, rows, cols) -> TruncatedSeries:
     """Determinant of the square submatrix on ``rows`` x ``cols`` (0-based),
-    in any order and with repeats; an index outside the matrix raises
-    ValueError.
+    in any order and with repeats; an index that is no int (a bool is not
+    one) or lies outside the matrix raises ValueError.
 
     A minor of size 1 is its entry and one of size 2 is ad - bc.  Larger
     minors use subset dynamic programming: the minor on the first r+1 rows
@@ -255,8 +247,10 @@ def series_det(matrix: SeriesMatrix, rows, cols) -> TruncatedSeries:
     s = len(rows)
     if s != len(cols):
         raise ValueError("determinant needs a square submatrix")
-    if s and (min(rows + cols) < 0 or max(rows) >= matrix.nrows or max(cols) >= matrix.ncols):
-        raise ValueError(f"minor {rows} x {cols} outside a {matrix.nrows} x {matrix.ncols} matrix")
+    for index, bound in ((rows, matrix.nrows), (cols, matrix.ncols)):
+        for x in index:
+            if type(x) is not int or not 0 <= x < bound:
+                raise ValueError(f"minor {rows} x {cols} outside a {matrix.nrows} x {matrix.ncols} matrix")
     entry = matrix.entries
     if s == 1:
         return entry[rows[0]][cols[0]]

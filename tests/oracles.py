@@ -18,7 +18,9 @@ elimination in Fractions, generic arcs are assembled from path sums through the 
 constructors, plateau corners by scanning whole regions, plane partitions
 are listed by the library's former recursive search, and containment
 verdicts with the necessary conditions first: the Pluecker orders of
-every pair are streamed, and only unrefuted pairs are certified.
+every pair are streamed, and only unrefuted pairs are certified.  The
+helpers only the tests need, the inverse of the minor-label dictionary, the
+final minors and the unit test of a series, live here too.
 """
 
 import random
@@ -47,7 +49,7 @@ from schubert_arcs import (
     weight_exponents,
 )
 from schubert_arcs.lct import _var
-from schubert_arcs.networks import EssentialWeighting, _unit_matrix
+from schubert_arcs.networks import _placement, _unit_matrix
 from schubert_arcs.nash import (
     ContainmentVerdict,
     _plateau_chain,
@@ -55,7 +57,7 @@ from schubert_arcs.nash import (
     _same_shape,
     sufficient_by_weight_exponents,
 )
-from schubert_arcs.partitions import _check_multi_index, final_minor, multi_index_of_minor, schubert_conditions
+from schubert_arcs.partitions import _check_multi_index, schubert_conditions
 from schubert_arcs.plane_partitions import _diagonal_positions, ord_schubert
 from schubert_arcs.series import series_det
 from schubert_arcs.simplex import LPSolution
@@ -152,50 +154,62 @@ def staircase_paths(shape, i, j, wedges=()):
     return found
 
 
-def path_weight(weighting, path, wedges=None):
+def _placed(weights, wedges=None):
+    """The vertex and edge weights of a k x c weight matrix on the staircase
+    network of G(k, k+c), a down-left edge of the given weight added for
+    each wedge tag (a, b), and the least precision among the weights."""
+    k, c = len(weights), len(weights[0])
+    vertex, edge = _placement(GrassmannShape(k, k + c), weights)
+    for (a, b), w in (wedges or {}).items():
+        edge[(a, b + 1), (a + 1, b)] = w
+    return vertex, edge, min(w.precision for row in weights for w in row)
+
+
+def _product_along(path, vertex, edge, precision):
+    acc = None
+    for w in [vertex.get(v) for v in path] + [edge.get(pair) for pair in zip(path, path[1:])]:
+        if w is not None:
+            acc = w if acc is None else acc * w
+    return TruncatedSeries.one(precision) if acc is None else acc
+
+
+def path_weight(weights, path, wedges=None):
     """Product of the weights on the vertices and edges of a path, the
     wedge weights (by tag) included; ``one`` only for a path with no
     weighted position."""
-    acc = None
-    edges = dict(weighting.edge_weights)
-    for (a, b), w in (wedges or {}).items():
-        edges[(a, b + 1), (a + 1, b)] = w
-    weights = [weighting.vertex_weights.get(v) for v in path]
-    weights += [edges.get(pair) for pair in zip(path, path[1:])]
-    for w in weights:
-        if w is not None:
-            acc = w if acc is None else acc * w
-    return TruncatedSeries.one(weighting.precision) if acc is None else acc
+    return _product_along(path, *_placed(weights, wedges))
 
 
-def weight_matrix_by_paths(weighting, wedges=None):
+def weight_matrix_by_paths(weights, wedges=None):
     """Matrix of path sums: entry (i, j) adds the weights of all paths from
     source i to sink j of the staircase network, with a down-left edge of
     the given weight for each wedge tag (a, b) of ``wedges``."""
-    shape = weighting.shape
+    k, c = len(weights), len(weights[0])
+    vertex, edge, precision = _placed(weights, wedges)
     rows = []
-    for i in range(1, shape.k + 1):
+    for i in range(1, k + 1):
         row = []
-        for j in range(1, shape.cols + 1):
-            acc = TruncatedSeries.zero(weighting.precision)
-            for path in staircase_paths(shape, i, j, wedges or ()):
-                acc = acc + path_weight(weighting, path, wedges)
+        for j in range(1, c + 1):
+            acc = TruncatedSeries.zero(precision)
+            for path in staircase_paths(GrassmannShape(k, k + c), i, j, wedges or ()):
+                acc = acc + _product_along(path, vertex, edge, precision)
             row.append(acc)
         rows.append(row)
     return SeriesMatrix(rows)
 
 
-def lindstrom_minor(network, weighting, sources, sinks):
+def lindstrom_minor(network, weights, sources, sinks):
     """The [sources|sinks]-minor of the weight matrix, computed as the sum
     over vertex-disjoint path families.  All signs are +1: in a planar
     network no cancelling permutation survives."""
+    vertex, edge, precision = _placed(weights)
     if not tuple(sources):
-        return TruncatedSeries.one(weighting.precision)
-    acc = TruncatedSeries.zero(weighting.precision)
+        return TruncatedSeries.one(precision)
+    acc = TruncatedSeries.zero(precision)
     for family in network.families(sources, sinks):
-        prod = TruncatedSeries.one(weighting.precision)
+        prod = TruncatedSeries.one(precision)
         for path in family:
-            prod = prod * path_weight(weighting, path)
+            prod = prod * _product_along(path, vertex, edge, precision)
         acc = acc + prod
     return acc
 
@@ -215,7 +229,7 @@ def generic_arc_by_paths(beta, precision=16, seed=None):
                 coeffs[exps[i][j]] = units[i][j]
             row.append(TruncatedSeries(coeffs))
         w.append(row)
-    affine = weight_matrix_by_paths(EssentialWeighting(shape, w))
+    affine = weight_matrix_by_paths(w)
     rows = []
     for i, row in enumerate(affine.entries):
         pad = [TruncatedSeries([0], precision) for _ in range(shape.k)]
@@ -428,6 +442,34 @@ def rectangle_ideal_minors(
     ]
 
 
+def multi_index_of_minor(rows, cols, shape: GrassmannShape) -> tuple[int, ...]:
+    """Inverse of ``partitions.minor_of_multi_index``."""
+    k, n = shape.k, shape.n
+    rows, cols = tuple(rows), tuple(cols)
+    if len(rows) != len(cols):
+        raise ValueError("minor label needs equally many rows and columns")
+    if any(type(x) is not int for x in rows + cols):
+        raise ValueError(f"minor label entries must be integers: {rows}, {cols}")
+    if any(not 1 <= i <= k for i in rows) or any(not 1 <= j <= n - k for j in cols):
+        raise ValueError(f"minor label out of range for {shape!r}: {rows}, {cols}")
+    complement = (n + 1 - i for i in range(1, k + 1) if i not in set(rows))
+    return _check_multi_index(tuple(sorted(cols)) + tuple(sorted(complement)), shape)
+
+
+def final_minor(shape: GrassmannShape, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The largest minor with upper-left entry (a, b): rows a..a+r, columns
+    b..b+r where r = min(k-a, n-k-b).
+
+    These are the maximal elements above (a, b) in the minor order; their
+    vanishing orders along an arc determine those of all other minors.
+    """
+    k, c = shape.k, shape.cols
+    if not (1 <= a <= k and 1 <= b <= c):
+        raise ValueError(f"position ({a}, {b}) outside the {k} x {c} box")
+    r = min(k - a, c - b)
+    return tuple(range(a, a + r + 1)), tuple(range(b, b + r + 1))
+
+
 def column_slice(matrix, ncols):
     return SeriesMatrix([row[:ncols] for row in matrix.entries])
 
@@ -460,9 +502,14 @@ def rank_by_gauss_jordan(const) -> int:
     return rank
 
 
+def is_unit(series):
+    """Whether a series is invertible: its constant term is nonzero."""
+    return bool(series.coeffs[0])
+
+
 def _has_unit_maximal_minor(arc):
     k, n = arc.nrows, arc.ncols
-    return any(subset_dp_det(arc, range(k), cols).is_unit for cols in combinations(range(n), k))
+    return any(is_unit(subset_dp_det(arc, range(k), cols)) for cols in combinations(range(n), k))
 
 
 def check_big_cell_by_series_det(arc):
@@ -474,7 +521,7 @@ def check_big_cell_by_series_det(arc):
         raise NotAnArc(f"a {k} x {n} matrix does not present a proper subspace")
     if not _has_unit_maximal_minor(arc):
         raise NotAnArc("no maximal minor is a unit")
-    if not subset_dp_det(arc, range(k), range(n - k, n)).is_unit:
+    if not is_unit(subset_dp_det(arc, range(k), range(n - k, n))):
         raise NotInBigCell(
             "the minor on the last k columns is not a unit; "
             "apply borel_translate first"
@@ -509,7 +556,7 @@ def borel_translate_by_series_det(arc, seed=0):
                 new_row.append(acc)
             rows.append(new_row)
         candidate = SeriesMatrix(rows)
-        if subset_dp_det(candidate, range(k), range(n - k, n)).is_unit:
+        if is_unit(subset_dp_det(candidate, range(k), range(n - k, n))):
             return candidate
     raise RuntimeError("internal: failed to reach the big cell by translation")
 

@@ -19,7 +19,6 @@ from schubert_arcs import (
 )
 from schubert_arcs.nash import nash_valuations
 from schubert_arcs.networks import (
-    EssentialWeighting,
     PlanarNetwork,
     _placement,
     _plucker_orders,
@@ -29,12 +28,13 @@ from schubert_arcs.networks import (
     tropical_minor_order,
     weight_matrix,
 )
-from schubert_arcs.partitions import all_partitions, final_minor, minor_of_multi_index
+from schubert_arcs.partitions import all_partitions, minor_of_multi_index
 from schubert_arcs.plane_partitions import all_plane_partitions, diagonal_sum, essential_profile
 from schubert_arcs.series import TruncatedSeries, big_cell_arc, format_arc_matrix, series_det
 
 from oracles import (
     column_sweep_minor_order,
+    final_minor,
     generic_arc_by_paths,
     grown_plane_partition,
     lindstrom_minor,
@@ -67,25 +67,21 @@ def test_path_counts_and_endpoints():
                 downs = [[a[1] for a, b in zip(p, p[1:]) if b[0] > a[0]] for p in paths]
                 assert downs == sorted(downs) and len(set(map(tuple, downs))) == len(downs)
                 for path in paths:
-                    assert path[0] == net.source(i)
-                    assert path[-1] == net.sink(j)
+                    assert path[0] == (i, c + 1)
+                    assert path[-1] == (k + 1, j)
                     for (r, col), (r2, col2) in zip(path, path[1:]):
                         assert (r2, col2) in ((r, col - 1), (r + 1, col))
 
 
 def test_source_sink_labels_validated():
     net = gamma0(G24)
-    assert net.source(2) == (2, 3)
-    assert net.sink(1) == (3, 1)
-    with pytest.raises(ValueError):
-        net.source(3)
-    with pytest.raises(ValueError):
-        net.sink(0)
-    # a label is an int, even where the caches hold an equal one: 2.0 and
-    # True would find the paths and families of 2 and 1
+    assert net.paths(2, 1)[0][0] == (2, 3)
+    assert net.paths(1, 1)[0][-1] == (3, 1)
+    # a label is an int in range, even where the caches hold an equal one:
+    # 2.0 and True would find the paths and families of 2 and 1
     net.families((1,), (2,))
-    for bad in (1.5, 2.0, True):
-        for check in (net.source, net.sink, lambda x: net.paths(x, 1), lambda x: net.paths(1, x)):
+    for bad in (1.5, 2.0, True, 0, 3):
+        for check in (lambda x: net.paths(x, 1), lambda x: net.paths(1, x)):
             with pytest.raises(ValueError):
                 check(bad)
         with pytest.raises(ValueError):
@@ -110,13 +106,12 @@ def test_weight_matrix_by_prime_substitution():
     # Constant weights w = [[2,3,5],[7,11,13]] make every path sum a plain
     # integer, exposing the path structure: a prime factorization per path.
     prec = 4
-    wmat = [[TruncatedSeries.constant(p, prec) for p in row] for row in [[2, 3, 5], [7, 11, 13]]]
-    weighting = EssentialWeighting(G25, wmat)
-    X = weight_matrix(weighting)
+    wmat = [[TruncatedSeries([p], prec) for p in row] for row in [[2, 3, 5], [7, 11, 13]]]
+    X = weight_matrix(wmat)
     expected = [[5032, 718, 65], [1001, 143, 13]]
     for i in range(2):
         for j in range(3):
-            assert X.entries[i][j] == TruncatedSeries.constant(expected[i][j], prec)
+            assert X.entries[i][j] == TruncatedSeries([expected[i][j]], prec)
 
 
 def test_weight_matrix_matches_path_enumeration():
@@ -135,9 +130,9 @@ def test_weight_matrix_matches_path_enumeration():
 
 def test_weight_matrix_with_mixed_precisions():
     # Weights at precisions 5 to 12: every entry is known to the smallest
-    # one, as the path sums are.  The first vertex weight, whose precision
-    # the weighting reports, is the finest, and the empty product that
-    # starts each sink's sums never sets the precision.
+    # one, as the path sums are.  The first vertex weight is the finest,
+    # and the empty product that starts each sink's sums never sets the
+    # precision.
     shape = GrassmannShape(3, 6)
     rng = random.Random(13)
     wmat = [
@@ -149,10 +144,8 @@ def test_weight_matrix_with_mixed_precisions():
     ]
     wmat[0][0] = TruncatedSeries.t_power(1, 12, coeff=Fraction(3, 2))
     wmat[2][1] = TruncatedSeries.t_power(2, 5, coeff=-4)
-    weighting = EssentialWeighting(shape, wmat)
-    assert weighting.precision == 12
-    got = weight_matrix(weighting)
-    assert got == weight_matrix_by_paths(weighting)
+    got = weight_matrix(wmat)
+    assert got == weight_matrix_by_paths(wmat)
     assert got.precision == 5
     assert {e.precision for row in got.entries for e in row} == {5}
 
@@ -176,27 +169,26 @@ def test_path_weight_of_an_unweighted_path_is_one():
     assert path in staircase_paths(G24, 2, 2, [(2, 2)])
     assert path not in staircase_paths(G24, 2, 2)
     wmat = [[TruncatedSeries.t_power(1, 8, coeff=3)] * 2] * 2
-    weighting = EssentialWeighting(G24, wmat)
-    assert path_weight(weighting, path) == TruncatedSeries.one(8)
+    assert path_weight(wmat, path) == TruncatedSeries.one(8)
     wedge = TruncatedSeries.t_power(2, 8, coeff=5)
-    assert path_weight(weighting, path, {(2, 2): wedge}) == wedge
+    assert path_weight(wmat, path, {(2, 2): wedge}) == wedge
     two = ((2, 3), (2, 2), (2, 1), (3, 1))
-    assert path_weight(weighting, two, {(2, 2): wedge}) == TruncatedSeries.t_power(2, 8, coeff=9)
+    assert path_weight(wmat, two, {(2, 2): wedge}) == TruncatedSeries.t_power(2, 8, coeff=9)
 
 
 def test_essential_positions_on_the_staircase():
     beta = PlanePartition([[2, 1, 1], [1, 1, 0]], G25)
-    w = essential_weighting(beta, 8)
+    vertex, edge = _placement(G25, essential_weighting(beta, 8))
     exps = weight_exponents(beta)
-    assert set(w.vertex_weights) == {(1, 2), (2, 3)}
-    assert set(w.edge_weights) == {
+    assert set(vertex) == {(1, 2), (2, 3)}
+    assert set(edge) == {
         ((1, 2), (1, 1)),
         ((1, 3), (2, 3)),
         ((2, 2), (2, 1)),
         ((2, 3), (2, 2)),
     }
-    assert w.vertex_weights[(1, 2)] == TruncatedSeries.t_power(exps[0][1], 8)
-    assert w.edge_weights[((1, 3), (2, 3))] == TruncatedSeries.t_power(exps[0][2], 8)
+    assert vertex[(1, 2)] == TruncatedSeries.t_power(exps[0][1], 8)
+    assert edge[((1, 3), (2, 3))] == TruncatedSeries.t_power(exps[0][2], 8)
 
 
 def test_placement_covers_each_cell_once_on_staircase_steps():
@@ -205,8 +197,7 @@ def test_placement_covers_each_cell_once_on_staircase_steps():
     for shape in shapes_up_to(8):
         k, c = shape.k, shape.cols
         cells = [(i, j) for i in range(1, k + 1) for j in range(1, c + 1)]
-        net = gamma0(shape)
-        nodes = {*cells, *map(net.source, range(1, k + 1)), *map(net.sink, range(1, c + 1))}
+        nodes = {*cells, *[(i, c + 1) for i in range(1, k + 1)], *[(k + 1, j) for j in range(1, c + 1)]}
         vertex, edge = _placement(shape, [[(i, j) for j in range(1, c + 1)] for i in range(1, k + 1)])
         assert all(key == cell for key, cell in vertex.items())
         for (tail, head), cell in edge.items():
@@ -216,20 +207,37 @@ def test_placement_covers_each_cell_once_on_staircase_steps():
 
 
 def test_weighting_shape_checked():
-    prec = 4
-    wmat = [[TruncatedSeries.one(prec)] * 2] * 2
-    with pytest.raises(ValueError):
-        EssentialWeighting(G25, wmat)
+    # the shape is read from the weights: an empty or ragged matrix has none
+    one = TruncatedSeries.one(4)
+    for wmat in ([], [[]], [[], []], [[one, one], [one]], [[one], [one, one]]):
+        with pytest.raises(ValueError, match="non-empty rectangular"):
+            weight_matrix(wmat)
+
+
+def test_weight_matrix_reads_its_shape():
+    # a k x c matrix weights G(k, k+c), k > c included; its transpose
+    # weights G(c, k+c)
+    rng = random.Random(5)
+    wmat = [
+        [TruncatedSeries.t_power(rng.randint(0, 2), rng.choice((6, 9)), coeff=rng.randint(1, 9))
+         for _ in range(2)]
+        for _ in range(4)
+    ]
+    transposed = [list(col) for col in zip(*wmat)]
+    for weights, size in ((wmat, (4, 2)), (transposed, (2, 4))):
+        got = weight_matrix(weights)
+        assert (got.nrows, got.ncols, got.precision) == (*size, 6)
+        assert got == weight_matrix_by_paths(weights)
 
 
 def test_weights_must_be_series():
-    # a float, bool or int weight is rejected by the constructor, before
-    # weight_matrix multiplies with it
+    # a float, bool or int weight is rejected before weight_matrix
+    # multiplies with it
     t = TruncatedSeries.t_power(1, 4)
     for bad in (1.5, True, 3):
         for wmat in ([[bad, t], [t, t]], [[t, t], [t, bad]]):
             with pytest.raises(ValueError, match="weights must be TruncatedSeries"):
-                EssentialWeighting(G24, wmat)
+                weight_matrix(wmat)
 
 
 def test_infinite_entries_have_no_weighting():
@@ -448,8 +456,7 @@ def test_wedge_edge_interpolates_between_strata():
     assert wedge_exp == 1
     exps = weight_exponents(bigger)
     wmat = [[TruncatedSeries.t_power(exps[i][j], prec) for j in range(2)] for i in range(2)]
-    weighting = EssentialWeighting(G24, wmat)
     for s, expected in ((0, bigger), (1, beta), (5, beta)):
         wedge = {(2, 2): TruncatedSeries.t_power(wedge_exp, prec, coeff=s)}
-        arc = big_cell_arc(weight_matrix_by_paths(weighting, wedge))
+        arc = big_cell_arc(weight_matrix_by_paths(wmat, wedge))
         assert invariant_factor_profile(arc) == expected

@@ -19,11 +19,9 @@ from schubert_arcs import (
     singular_components,
 )
 from schubert_arcs.partitions import (
-    final_minor,
     format_multi_index,
     format_partition,
     minor_of_multi_index,
-    multi_index_of_minor,
     parse_multi_index,
     parse_partition,
 )
@@ -31,9 +29,11 @@ from itertools import combinations
 
 from oracles import (
     column_slice,
+    final_minor,
     final_multi_index,
     fixed_point_census,
     minor_leq,
+    multi_index_of_minor,
     rectangle_ideal_minors,
     rim_size_by_scan,
     shapes_up_to,

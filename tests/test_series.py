@@ -40,6 +40,7 @@ from oracles import (
     column_slice,
     grown_plane_partition,
     is_generic_form,
+    is_unit,
     naive_alpha,
     perm_det,
     plucker_order_of_arc,
@@ -91,8 +92,8 @@ def test_series_order_and_units():
     # every known coefficient vanishes: precision + 1, a lower bound
     zero = parse_series("0", 8)
     assert zero.order() == zero.precision + 1 == 9
-    assert parse_series("2", 8).is_unit
-    assert not parse_series("t", 8).is_unit
+    assert is_unit(parse_series("2", 8))
+    assert not is_unit(parse_series("t", 8))
 
 
 def test_coefficients_must_be_exact():
@@ -102,7 +103,7 @@ def test_coefficients_must_be_exact():
     with pytest.raises(ValueError):
         TruncatedSeries([1.0], 3)
     with pytest.raises(ValueError):
-        TruncatedSeries.constant(0.5, 3)
+        TruncatedSeries([0.5], 3)
 
 
 def test_precision_must_not_be_negative():
@@ -124,7 +125,6 @@ def test_precision_and_exponent_must_be_naturals():
             lambda p: TruncatedSeries([1], p),
             TruncatedSeries.zero,
             TruncatedSeries.one,
-            lambda p: TruncatedSeries.constant(1, p),
             lambda p: TruncatedSeries.t_power(1, p),
             lambda p: TruncatedSeries.t_power(p, 3),
             s.truncate,
@@ -143,10 +143,13 @@ def test_precision_and_exponent_must_be_naturals():
 
 
 def test_determinant_indexes_must_lie_in_the_matrix():
-    # -1 used to read the last row and 5 to raise IndexError
+    # -1 used to read the last row and 5 to raise IndexError; True used to
+    # read row 1 and 0.5 to raise TypeError
     m = parse_arc_matrix("1, t, 0; t, 1, t^2", 4)
     for rows, cols in (([-1], [0]), ([0], [-1]), ([2], [0]), ([0], [3]), ([5], [0]),
-                       ([0, -1], [0, 1]), ([0, 1], [1, 3]), ([0, 1, 2], [0, 1, 2])):
+                       ([0, -1], [0, 1]), ([0, 1], [1, 3]), ([0, 1, 2], [0, 1, 2]),
+                       ([True], [0]), ([0], [False]), ([0.5], [1]), ([0], [1.0]),
+                       ([0, True], [0, 1]), ([0, 1], [0, 2.0])):
         with pytest.raises(ValueError):
             series_det(m, rows, cols)
     assert series_det(m, [1, 0], [2, 0]) == perm_det(m, [1, 0], [2, 0])
