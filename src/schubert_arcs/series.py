@@ -241,7 +241,12 @@ def series_det(matrix: SeriesMatrix, rows, cols) -> TruncatedSeries:
     A minor of size 1 is its entry and one of size 2 is ad - bc.  Larger
     minors use subset dynamic programming: the minor on the first r+1 rows
     and a set of r+1 column positions is expanded along row r into the
-    minors of size r, so O(2^s s) series products.
+    minors of size r, so O(2^s s) series products.  Terms whose entry in
+    row r is the zero series are left out, and a minor with no other term
+    is the zero series: such a term is a series of int zeros, as the
+    product skips zero coefficients, and adding or subtracting int zeros
+    changes no coefficient's value or type.  Big-cell arcs (X | D) have
+    k^2 - k zero entries in D.
     """
     rows, cols = tuple(rows), tuple(cols)
     s = len(rows)
@@ -261,20 +266,25 @@ def series_det(matrix: SeriesMatrix, rows, cols) -> TruncatedSeries:
     if s == 0:
         return TruncatedSeries.one(matrix.precision)
     sub = [[entry[r][c] for c in cols] for r in rows]
+    zero = TruncatedSeries.zero(matrix.precision)
     # minors of the rows so far, keyed by their increasing column positions
     minors = {(j,): e for j, e in enumerate(sub[0])}
     for r in range(1, s):
         row = sub[r]
+        nonzero = [any(e.coeffs) for e in row]
         larger = {}
         for subset in combinations(range(s), r + 1):
-            # the cofactor of entry (r, subset[idx]) has sign (-1)^(r+idx)
-            acc = row[subset[0]] * minors[subset[1:]]
-            if r % 2:
-                acc = -acc
-            for idx in range(1, r + 1):
-                term = row[subset[idx]] * minors[subset[:idx] + subset[idx + 1 :]]
-                acc = acc + term if (r + idx) % 2 == 0 else acc - term
-            larger[subset] = acc
+            # the cofactor of entry (r, subset[idx]) has sign (-1)^(r+idx);
+            # a zero entry's term is left out
+            acc = None
+            for idx, j in enumerate(subset):
+                if nonzero[j]:
+                    term = row[j] * minors[subset[:idx] + subset[idx + 1 :]]
+                    if acc is None:
+                        acc = -term if (r + idx) % 2 else term
+                    else:
+                        acc = acc + term if (r + idx) % 2 == 0 else acc - term
+            larger[subset] = zero if acc is None else acc
         minors = larger
     return minors[tuple(range(s))]
 

@@ -291,6 +291,60 @@ def test_small_minors_match_both_references():
     assert min(sizes.values()) >= 30 and len(sizes) == 8
 
 
+def test_big_cell_minors_leave_out_zero_entries(monkeypatch):
+    # minors of size 3 to 5 of arcs (X | D), on int and on Fraction
+    # coefficients, with Fraction-zero entries in X and now and then a zero
+    # row: the values and coefficient types are those of both references,
+    # and no product has a zero entry as its factor
+    rng = random.Random(24)
+    products = []
+    plain_mul = TruncatedSeries.__mul__
+
+    def recording_mul(self, other):
+        products.append(self)
+        return plain_mul(self, other)
+
+    sizes = collections.Counter()
+    for case in range(240):
+        size = 3 + case % 3
+        fractional = case % 2 == 1
+        k, width = rng.randint(size, 5), rng.randint(1, 4)
+        precision = rng.randint(0, 4)
+
+        def coefficient():
+            if rng.random() < 0.4:
+                return Fraction(0) if fractional else 0
+            if fractional:
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            return rng.randint(-4, 4)
+
+        affine = [
+            [TruncatedSeries([coefficient() for _ in range(precision + 1)]) for _ in range(width)]
+            for _ in range(k)
+        ]
+        rows = rng.sample(range(k), size)
+        zero_row = case % 4 >= 2
+        if zero_row:
+            # its unit lies outside the minor's columns, so the row is zero
+            affine[rows[0]] = [TruncatedSeries([Fraction(0) if fractional else 0] * (precision + 1))] * width
+            unit = width + k - 1 - rows[0]
+            cols = rng.sample([c for c in range(width + k) if c != unit], size)
+        else:
+            cols = rng.sample(range(width + k), size)
+        arc = big_cell_arc(SeriesMatrix(affine))
+        products.clear()
+        monkeypatch.setattr(TruncatedSeries, "__mul__", recording_mul)
+        det = series_det(arc, rows, cols)
+        monkeypatch.undo()
+        assert all(any(factor.coeffs) for factor in products), (case, rows, cols)
+        assert det == perm_det(arc, rows, cols), (case, rows, cols)
+        _same(det, subset_dp_det(arc, rows, cols).coeffs)
+        if zero_row:
+            _same(det, TruncatedSeries.zero(precision).coeffs)
+        sizes[size, fractional, zero_row] += 1
+    assert min(sizes.values()) >= 10 and len(sizes) == 12
+
+
 def test_rank_matches_gauss_jordan():
     # random int and Fraction matrices up to 6 x 12, many of them rank
     # deficient (a product through a narrower middle) or with zero rows;
