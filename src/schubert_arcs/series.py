@@ -239,14 +239,17 @@ def series_det(matrix: SeriesMatrix, rows, cols) -> TruncatedSeries:
     one) or lies outside the matrix raises ValueError.
 
     A minor of size 1 is its entry and one of size 2 is ad - bc.  Larger
-    minors use subset dynamic programming: the minor on the first r+1 rows
-    and a set of r+1 column positions is expanded along row r into the
-    minors of size r, so O(2^s s) series products.  Terms whose entry in
-    row r is the zero series are left out, and a minor with no other term
-    is the zero series: such a term is a series of int zeros, as the
-    product skips zero coefficients, and adding or subtracting int zeros
-    changes no coefficient's value or type.  Big-cell arcs (X | D) have
-    k^2 - k zero entries in D.
+    minors use subset dynamic programming, keyed by the bit mask of the
+    column positions: the minor on the first r+1 rows and the r+1 positions
+    of a mask is expanded along row r into the minors on ``mask ^ bit``, so
+    O(2^s s) series products.  Masks run in increasing order, so each
+    sub-minor is ready when it is needed, and the cofactor sign is the
+    parity of r plus the number of positions of the mask below the bit.
+    Terms whose entry in row r is the zero series are left out, and a minor
+    with no other term is the zero series: such a term is a series of int
+    zeros, as the product skips zero coefficients, and adding or
+    subtracting int zeros changes no coefficient's value or type.  Big-cell
+    arcs (X | D) have k^2 - k zero entries in D.
     """
     rows, cols = tuple(rows), tuple(cols)
     s = len(rows)
@@ -265,28 +268,33 @@ def series_det(matrix: SeriesMatrix, rows, cols) -> TruncatedSeries:
         return top[left] * bottom[right] - top[right] * bottom[left]
     if s == 0:
         return TruncatedSeries.one(matrix.precision)
-    sub = [[entry[r][c] for c in cols] for r in rows]
-    zero = TruncatedSeries.zero(matrix.precision)
-    # minors of the rows so far, keyed by their increasing column positions
-    minors = {(j,): e for j, e in enumerate(sub[0])}
-    for r in range(1, s):
-        row = sub[r]
-        nonzero = [any(e.coeffs) for e in row]
-        larger = {}
-        for subset in combinations(range(s), r + 1):
-            # the cofactor of entry (r, subset[idx]) has sign (-1)^(r+idx);
-            # a zero entry's term is left out
-            acc = None
-            for idx, j in enumerate(subset):
-                if nonzero[j]:
-                    term = row[j] * minors[subset[:idx] + subset[idx + 1 :]]
-                    if acc is None:
-                        acc = -term if (r + idx) % 2 else term
-                    else:
-                        acc = acc + term if (r + idx) % 2 == 0 else acc - term
-            larger[subset] = zero if acc is None else acc
-        minors = larger
-    return minors[tuple(range(s))]
+    # the nonzero entries of each row, by the bit of their column position
+    terms = []
+    for r in rows:
+        row = entry[r]
+        terms.append([(1 << j, row[c]) for j, c in enumerate(cols) if any(row[c].coeffs)])
+    # minors of the first r+1 rows, r+1 the number of bits of the mask; a
+    # zero entry of the first row is left as the int zero series, since a
+    # product with either is a series of int zeros
+    minors = [TruncatedSeries.zero(matrix.precision)] * (1 << s)
+    for bit, e in terms[0]:
+        minors[bit] = e
+    for mask in range(3, 1 << s):
+        r = mask.bit_count() - 1
+        if not r:
+            continue
+        acc = None
+        for bit, e in terms[r]:
+            if mask & bit:
+                term = e * minors[mask ^ bit]
+                odd = (r + (mask & (bit - 1)).bit_count()) % 2
+                if acc is None:
+                    acc = -term if odd else term
+                else:
+                    acc = acc - term if odd else acc + term
+        if acc is not None:
+            minors[mask] = acc
+    return minors[-1]
 
 
 def _integral_rows(const) -> list[list[int]]:
@@ -366,14 +374,34 @@ def invariant_factor_profile(arc: SeriesMatrix) -> PlanePartition:
 
     Raises :class:`PrecisionExceeded` when a needed order exceeds the
     truncation window.
+
+    Only minors whose every column is live on their rows are built: the
+    rows on which each column is not the zero series are read in one pass
+    as a bit mask, and each set of rows keeps the list of columns whose
+    mask meets it.  A minor with a column that is zero on its rows is the
+    zero series, whose order is the lower bound precision + 1 that every
+    entry starts from, so leaving it out changes no entry and no
+    :class:`PrecisionExceeded` position or bound.  Each column of the unit
+    block D of a big-cell arc (X | D) is zero on k - 1 rows.
     """
     _check_big_cell(arc)
     k, n = arc.nrows, arc.ncols
     shape = GrassmannShape(k, n)
     c = shape.cols
+    # the bit mask of the rows on which each column is not the zero series
+    support = [0] * n
+    for i, entries in enumerate(arc.entries):
+        for j, e in enumerate(entries):
+            if any(e.coeffs):
+                support[j] |= 1 << i
     alpha = []
     for a in range(1, k + 1):
         s = k + 1 - a
+        # each set of s rows, with its bit mask and its live columns
+        live = []
+        for rows in combinations(range(k), s):
+            bits = sum(1 << i for i in rows)
+            live.append((rows, bits, [j for j in range(n) if support[j] & bits]))
         row = []
         # every minor shares the arc's precision, so a lower bound is always
         # precision + 1 and loses to any exact order
@@ -382,8 +410,10 @@ def invariant_factor_profile(arc: SeriesMatrix) -> PlanePartition:
             # new minors meet the new last column; at b = 1 they fill s columns
             if best:
                 new_col = s + b - 2
-                for rows in combinations(range(k), s):
-                    for old in combinations(range(new_col), s - 1):
+                for rows, bits, cols in live:
+                    if not support[new_col] & bits:
+                        continue
+                    for old in combinations(cols[: cols.index(new_col)], s - 1):
                         best = min(best, series_det(arc, rows, old + (new_col,)).order())
                         if best == 0:
                             break

@@ -22,6 +22,7 @@ from schubert_arcs import (
     plucker_ord,
 )
 from schubert_arcs import PlanePartition
+from schubert_arcs import series as series_module
 from schubert_arcs.plane_partitions import parse_plane_partition
 from schubert_arcs.series import (
     _check_big_cell,
@@ -219,12 +220,12 @@ def test_arithmetic_matches_the_reference(pair, scalar):
 
 @st.composite
 def determinant_cases(draw):
-    """A series matrix of up to 5 x 5 entries at one precision 0..6, with
+    """A series matrix of up to 6 x 6 entries at one precision 0..6, with
     int and Fraction coefficients, and the rows and columns of a square
-    submatrix of size 0..5 in any order, repeats included."""
-    size = draw(st.integers(0, 5))
+    submatrix of size 0..6 in any order, repeats included."""
+    size = draw(st.integers(0, 6))
     precision = draw(st.integers(0, 6))
-    nrows, ncols = draw(st.integers(max(size, 1), 5)), draw(st.integers(max(size, 1), 5))
+    nrows, ncols = draw(st.integers(max(size, 1), 6)), draw(st.integers(max(size, 1), 6))
     coefficient = st.sampled_from([2, -1, 0, Fraction(1, 2), 1, 0, -3, Fraction(-4, 3), Fraction(6, 3)])
     coefficients = st.lists(coefficient, min_size=precision + 1, max_size=precision + 1)
     matrix = SeriesMatrix(
@@ -514,6 +515,97 @@ def test_profile_at_the_precision_boundary():
             assert essential_profile(invariant_factor_profile(arc)) == expected
             outcomes["equal"] += 1
     assert min(outcomes.values()) >= 50, outcomes
+
+
+@st.composite
+def moved_big_cell_arcs(draw):
+    """g . (X | D) on G(2,4), G(2,5), G(3,5) or G(3,6) at precision 0..4.
+
+    X is sparse, with int or with Fraction coefficients, some of its columns
+    zero and many of its entries Fraction zeros in the second case.  g = L U
+    is an integer matrix with L unit lower and U unit upper triangular, not
+    both the identity, so g is unimodular but not diagonal: the last block
+    g D is a unit but not antidiagonal."""
+    k, n = draw(st.sampled_from([(2, 4), (2, 5), (3, 5), (3, 6)]))
+    precision = draw(st.integers(0, 4))
+    fractional = draw(st.booleans())
+    zero = Fraction(0) if fractional else 0
+    nonzero = [Fraction(1, 2), Fraction(-3, 2), Fraction(2)] if fractional else [1, -1, 2]
+    coefficient = st.sampled_from([zero] * 3 + nonzero)
+    coefficients = st.lists(coefficient, min_size=precision + 1, max_size=precision + 1)
+    zero_columns = draw(st.sets(st.integers(0, n - k - 1), max_size=n - k - 1))
+    affine = [
+        [
+            TruncatedSeries([zero] * (precision + 1) if j in zero_columns else draw(coefficients))
+            for j in range(n - k)
+        ]
+        for _ in range(k)
+    ]
+    lower = [[1 if i == j else draw(st.integers(-2, 2)) if i > j else 0 for j in range(k)] for i in range(k)]
+    upper = [[1 if i == j else draw(st.integers(-2, 2)) if i < j else 0 for j in range(k)] for i in range(k)]
+    if all(lower[i][j] == upper[j][i] == 0 for i in range(k) for j in range(i)):
+        lower[1][0] = 1
+    g = [[sum(lower[i][u] * upper[u][j] for u in range(k)) for j in range(k)] for i in range(k)]
+    arc = big_cell_arc(SeriesMatrix(affine))
+    return SeriesMatrix(
+        [
+            [
+                sum((g[i][u] * arc.entries[u][c] for u in range(1, k)), g[i][0] * arc.entries[0][c])
+                for c in range(n)
+            ]
+            for i in range(k)
+        ]
+    )
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(moved_big_cell_arcs())
+def test_profile_matches_naive_recomputation_on_moved_sparse_arcs(arc):
+    """The profile skips minors with a column that vanishes on their rows;
+    on sparse arcs whose unit block is mixed by rows, it still equals the
+    exhaustive recomputation, or raises at the first row-major position
+    whose order is only the lower bound precision + 1."""
+    expected = naive_alpha(arc)
+    unresolved = [
+        (a, b)
+        for a, row in enumerate(expected, start=1)
+        for b, order in enumerate(row, start=1)
+        if order > arc.precision
+    ]
+    if unresolved:
+        with pytest.raises(PrecisionExceeded) as info:
+            invariant_factor_profile(arc)
+        assert info.value.position == unresolved[0]
+        assert info.value.bound == arc.precision + 1
+    else:
+        assert essential_profile(invariant_factor_profile(arc)) == expected
+
+
+def test_profile_builds_no_minor_with_a_column_zero_on_its_rows(monkeypatch):
+    """Seeded generic arcs of G(3,6) and G(4,8), as they are and Borel
+    translated: no minor the profile builds has a column that is the zero
+    series on each of its rows, and the profile is still the stratum."""
+    rng = random.Random(79)
+    plain_det = series_module.series_det
+    calls, dead = [], []
+
+    def checked_det(matrix, rows, cols):
+        calls.append(cols)
+        if any(not any(any(matrix.entries[r][c].coeffs) for r in rows) for c in cols):
+            dead.append((rows, cols))
+        return plain_det(matrix, rows, cols)
+
+    for k, n in [(3, 6), (4, 8)]:
+        for _ in range(4):
+            beta = random_plane_partition(GrassmannShape(k, n), 2, rng)
+            arc = generic_arc(beta, precision=10, seed=rng.randrange(10**6))
+            for moved in (arc, borel_translate(arc, seed=rng.randint(1, 4))):
+                calls.clear()
+                monkeypatch.setattr(series_module, "series_det", checked_det)
+                profile = invariant_factor_profile(moved)
+                monkeypatch.undo()
+                assert not dead, (format_arc_matrix(moved), dead[:3])
+                assert calls and profile == beta, format_arc_matrix(moved)
 
 
 def test_profile_requires_an_arc_in_the_big_cell():
