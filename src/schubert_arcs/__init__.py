@@ -22,15 +22,14 @@ __version__ = "0.1.0"
 # The public names, by the submodule that defines them.
 _EXPORTS = {
     "partitions": (
-        "GrassmannShape", "Partition", "all_partitions", "bruhat_leq",
-        "multi_index_from_partition", "outside_corners", "partition_from_multi_index",
-        "rim_size", "schubert_conditions", "singular_components",
+        "GrassmannShape", "Partition", "all_partitions", "outside_corners",
+        "schubert_conditions", "singular_components",
     ),
     "plane_partitions": (
         "INF", "ExtNat", "Infinity", "InvalidPlanePartition", "PlanePartition",
-        "PrecisionExceeded", "all_plane_partitions", "contact_profile", "essential_profile",
-        "floors", "from_essential", "from_floors", "home_center", "ord_schubert",
-        "plateaux", "weight_exponents",
+        "PrecisionExceeded", "all_plane_partitions", "essential_profile", "floors",
+        "from_essential", "from_floors", "home_center", "ord_schubert", "plateaux",
+        "weight_exponents",
     ),
     "series": (
         "NotAnArc", "NotInBigCell", "SeriesMatrix", "TruncatedSeries",
@@ -42,14 +41,10 @@ _EXPORTS = {
     ),
     "nash": (
         "ContainmentVerdict", "codim", "codim_chain", "compare", "discrepancy_data",
-        "nash_valuations", "necessary_containment", "plucker_leq", "sufficient_by_plateau",
-        "sufficient_by_weight_exponents",
+        "nash_valuations", "sufficient_by_weight_exponents",
     ),
     "simplex": ("LPSolution", "RationalLP", "solve_max"),
-    "lct": (
-        "arnold_multiplicity", "arnold_witness", "build_lp", "integer_witness", "lct",
-        "lct_equals_codim", "lct_rectangular",
-    ),
+    "lct": ("arnold_multiplicity", "arnold_witness", "build_lp", "integer_witness", "lct"),
 }
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)

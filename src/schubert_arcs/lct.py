@@ -6,15 +6,15 @@ least diagonal sum of beta at a corner of lambda.  With one more variable t
 bounded by every corner sum, it is the small exact linear program "maximize
 t".  All its rows but the volume row are homogeneous, so the origin is a
 vertex and a one-phase simplex solves it.  The log canonical threshold is
-the reciprocal, and rectangular shapes have a closed form.  The simplex
-layer and ``fractions`` load when first used, not on import.
+the reciprocal.  The simplex layer and ``fractions`` load when first used,
+not on import.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .partitions import GrassmannShape, Partition, rim_size, schubert_conditions
+from .partitions import GrassmannShape, Partition, schubert_conditions
 from .plane_partitions import PlanePartition, _diagonal_positions
 
 
@@ -104,23 +104,3 @@ def integer_witness(lam: Partition) -> PlanePartition:
 def lct(lam: Partition) -> Fraction:
     """Log canonical threshold of the pair (Grassmannian, Schubert variety)."""
     return 1 / arnold_multiplicity(lam)
-
-
-def lct_rectangular(a: int, b: int, shape: GrassmannShape) -> Fraction:
-    """Closed form for the threshold of a rectangular diagram (b^a):
-    the minimum of (a+s)(b+s)/(s+1) as the rectangle grows diagonally."""
-    k, c = shape.k, shape.cols
-    if type(a) is not int or type(b) is not int:
-        raise ValueError(f"rectangle sides must be integers: {a!r} x {b!r}")
-    if not (1 <= a <= k and 1 <= b <= c):
-        raise ValueError(f"rectangle {a} x {b} does not fit in the {k} x {c} box")
-    from fractions import Fraction
-
-    r = min(k - a, c - b)
-    return min(Fraction((a + s) * (b + s), s + 1) for s in range(r + 1))
-
-
-def lct_equals_codim(lam: Partition) -> bool:
-    """Whether the threshold equals the codimension |lambda|, which happens
-    exactly when the diagram has at most as many boxes as its rim."""
-    return lam.size <= rim_size(lam)

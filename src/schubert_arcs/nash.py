@@ -76,23 +76,6 @@ def _refutation(beta: PlanePartition, beta2: PlanePartition) -> str | None:
     return None
 
 
-def plucker_leq(beta: PlanePartition, beta2: PlanePartition) -> bool:
-    """Pluecker order: every coordinate vanishes to order at most that of
-    the second argument's stratum."""
-    _same_shape(beta, beta2)
-    return _plucker_drop(beta, beta2) is None
-
-
-def necessary_containment(beta: PlanePartition, beta2: PlanePartition) -> bool:
-    """Whether the containment of stratum closures is not yet excluded.
-
-    False means impossible: some Pluecker order drops, or the volume does
-    not strictly increase (see _refutation).
-    """
-    _same_shape(beta, beta2)
-    return beta == beta2 or _refutation(beta, beta2) is None
-
-
 def sufficient_by_weight_exponents(beta: PlanePartition, beta2: PlanePartition) -> bool:
     """Entrywise comparison of weight exponents; true guarantees the
     closure of the first stratum contains the second.
@@ -141,21 +124,6 @@ def _plateau_chain(beta: PlanePartition, beta2: PlanePartition):
         current = current.add_box(a, b)
         steps.append(current)
     return steps
-
-
-def sufficient_by_plateau(beta: PlanePartition, beta2: PlanePartition) -> bool:
-    """Whether the second plane partition is reached from the first by
-    adding boxes at plateau corners with positive fall, one at a time.
-
-    Each single step yields a strict containment of stratum closures, and
-    the chain composes them.  The search is greedy (lowest floor, then
-    lexicographic), so False only means this particular criterion did not
-    apply.  Equal arguments give False: no box is added.
-    """
-    _same_shape(beta, beta2)
-    if beta == beta2:
-        return False
-    return _plateau_chain(beta, beta2) is not None
 
 
 def compare(beta: PlanePartition, beta2: PlanePartition) -> ContainmentVerdict:

@@ -116,7 +116,10 @@ class Partition(_Value):
                 yield (i, j)
 
     def contains(self, other: "Partition") -> bool:
-        """Diagram containment: every cell of ``other`` is a cell of self."""
+        """Diagram containment: every cell of ``other`` is a cell of self.
+
+        It reverses the inclusion of Schubert varieties: the variety of self
+        sits inside the variety of other exactly when self contains other."""
         if self.shape != other.shape:
             raise ValueError("partitions live in different shapes")
         return all(self.part(i) >= other.part(i) for i in range(1, len(other) + 1))
@@ -142,21 +145,6 @@ def all_partitions(shape: GrassmannShape) -> Iterator[Partition]:
             yield Partition(parts, shape)
 
 
-def partition_from_multi_index(entries, shape: GrassmannShape) -> Partition:
-    """Partition indexing the Schubert variety whose open cell contains the
-    torus-fixed point of the multi-index.
-
-    The s-th multi-index entry is s plus the (k+1-s)-th part, so the two
-    descriptions carry the same data.
-
-    >>> partition_from_multi_index((2, 3, 6), GrassmannShape(3, 6)).parts
-    (3, 1, 1)
-    """
-    entries = _check_multi_index(entries, shape)
-    parts = [entries[s - 1] - s for s in range(shape.k, 0, -1)]
-    return Partition(parts, shape)
-
-
 def _check_multi_index(entries, shape: GrassmannShape) -> tuple[int, ...]:
     """The entries as a tuple, once they are k ints strictly increasing in
     [1, n]; anything else raises ValueError."""
@@ -171,22 +159,6 @@ def _check_multi_index(entries, shape: GrassmannShape) -> tuple[int, ...]:
     if any(entries[s] >= entries[s + 1] for s in range(k - 1)):
         raise ValueError(f"multi-index not strictly increasing: {entries!r}")
     return entries
-
-
-def multi_index_from_partition(lam: Partition) -> tuple[int, ...]:
-    """Inverse of :func:`partition_from_multi_index`."""
-    k = lam.shape.k
-    return tuple(s + lam.part(k + 1 - s) for s in range(1, k + 1))
-
-
-def bruhat_leq(lam: Partition, mu: Partition) -> bool:
-    """Diagram containment of lam in mu.
-
-    Containment is the opposite of the inclusion of the Schubert varieties:
-    the variety of mu sits inside the variety of lam exactly when the diagram
-    of lam is contained in the diagram of mu.
-    """
-    return mu.contains(lam)
 
 
 def schubert_conditions(lam: Partition) -> list[tuple[int, int]]:
@@ -237,23 +209,6 @@ def singular_components(lam: Partition) -> list[Partition]:
         parts += [lam.part(i) for i in range(a + 2, lam.shape.k + 1)]
         comps.append(Partition(parts, lam.shape))
     return comps
-
-
-def rim_size(lam: Partition) -> int:
-    """Number of box cells outside lam that touch its diagram, corners included.
-
-    Touching means sharing an edge or just a vertex with some diagram cell.
-    Only defined when the diagram stays clear of the box boundary: at most
-    k-1 parts, each at most n-k-1.  The empty partition is rejected, since
-    nothing touches it.  Otherwise lam and its rim fill the partition
-    (lam_1+1, lam_1+1, lam_2+1, ..., lam_l+1): the rim has lam_1 + l + 1 cells.
-    """
-    if not lam:
-        raise ValueError("rim of the empty partition is undefined")
-    k, c = lam.shape.k, lam.shape.cols
-    if len(lam.parts) > k - 1 or lam.parts[0] > c - 1:
-        raise ValueError(f"{lam!r} touches the box boundary; rim undefined")
-    return lam.parts[0] + len(lam.parts) + 1
 
 
 # -- Minor labels and their correspondence with multi-indexes ---------------

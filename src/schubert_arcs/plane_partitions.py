@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 
 from .partitions import (
-    GrassmannShape, Partition, _check_natural, _read_natural, _Value, all_partitions, schubert_conditions,
+    GrassmannShape, Partition, _check_natural, _read_natural, _Value, schubert_conditions,
 )
 
 
@@ -267,15 +267,6 @@ def from_essential(alpha, shape: GrassmannShape) -> PlanePartition:
         return PlanePartition(rows, shape)
     except ValueError as exc:
         raise ValueError(f"not a valid essential contact profile: {exc}") from None
-
-
-def contact_profile(beta: PlanePartition) -> dict[Partition, ExtNat]:
-    """Contact orders with every non-empty Schubert variety of the shape.
-
-    Determined by the rectangle orders alone: the order for lam is the
-    minimum over the corners of lam.
-    """
-    return {lam: ord_schubert(beta, lam) for lam in all_partitions(beta.shape)}
 
 
 def _essential_neighbours(shape: GrassmannShape):

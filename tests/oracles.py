@@ -19,14 +19,18 @@ constructors, plateau corners by scanning whole regions, plane partitions
 are listed by the library's former recursive search, and containment
 verdicts with the necessary conditions first: the Pluecker orders of
 every pair are streamed, and only unrefuted pairs are certified.  The
-helpers only the tests need, the inverse of the minor-label dictionary, the
-final minors and the unit test of a series, live here too.
+helpers only the tests need live here too: the inverse of the minor-label
+dictionary, the dictionary between multi-indexes and partitions, the final
+minors, the unit test of a series, the closed forms of rims and of the
+thresholds of rectangles that the linear program is checked against, and
+the Pluecker order, the necessary conditions and the plateau criterion
+one at a time, each of which the library's compare runs only as a step.
 """
 
 import random
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import lcm
 from types import SimpleNamespace
 
@@ -53,6 +57,7 @@ from schubert_arcs.networks import _placement, _unit_matrix
 from schubert_arcs.nash import (
     ContainmentVerdict,
     _plateau_chain,
+    _plucker_drop,
     _refutation,
     _same_shape,
     sufficient_by_weight_exponents,
@@ -71,25 +76,34 @@ def shapes_up_to(max_n):
 # -- Determinants and contact orders from scratch -----------------------------
 
 
-def perm_sign(perm):
-    sign = 1
-    for i, j in combinations(range(len(perm)), 2):
-        if perm[i] > perm[j]:
-            sign = -sign
-    return sign
-
-
 def perm_det(matrix, rows, cols):
     """Signed permutation expansion of the [rows|cols] minor (0-based), with
-    the reference arithmetic below in place of the series kernel."""
+    the reference arithmetic below in place of the series kernel.
+
+    The permutations are expanded depth first, row by row, so that they
+    share their prefix products: choosing column p for a row flips the sign
+    once for each column above p that an earlier row took, and a prefix
+    stops at a factor that is the zero series.
+    """
     rows, cols = tuple(rows), tuple(cols)
+    if len(rows) != len(cols):
+        raise ValueError("determinant needs a square submatrix")
     prec = matrix.precision
+    factors = [[matrix.entries[r][c].coeffs for c in cols] for r in rows]
     total = (0,) * (prec + 1)
-    for perm in permutations(range(len(rows))):
-        term = (1,) + (0,) * prec
-        for i, p in enumerate(perm):
-            term = series_mul(term, matrix.entries[rows[i]][cols[p]].coeffs)
-        total = series_add(total, term) if perm_sign(perm) > 0 else series_sub(total, term)
+
+    def expand(i, used, term, sign):
+        nonlocal total
+        if i == len(rows):
+            total = series_add(total, term) if sign > 0 else series_sub(total, term)
+            return
+        for p, factor in enumerate(factors[i]):
+            if p in used or not any(factor):
+                continue
+            flips = sum(1 for q in used if q > p)
+            expand(i + 1, used | {p}, series_mul(term, factor), -sign if flips % 2 else sign)
+
+    expand(0, frozenset(), (1,) + (0,) * prec, 1)
     return TruncatedSeries(total)
 
 
@@ -376,6 +390,23 @@ def naive_alpha(arc):
 # -- Rims by scanning the box ---------------------------------------------------
 
 
+def rim_size(lam: Partition) -> int:
+    """Number of box cells outside lam that touch its diagram, corners included.
+
+    Touching means sharing an edge or just a vertex with some diagram cell.
+    Only defined when the diagram stays clear of the box boundary: at most
+    k-1 parts, each at most n-k-1.  The empty partition is rejected, since
+    nothing touches it.  Otherwise lam and its rim fill the partition
+    (lam_1+1, lam_1+1, lam_2+1, ..., lam_l+1): the rim has lam_1 + l + 1 cells.
+    """
+    if not lam:
+        raise ValueError("rim of the empty partition is undefined")
+    k, c = lam.shape.k, lam.shape.cols
+    if len(lam.parts) > k - 1 or lam.parts[0] > c - 1:
+        raise ValueError(f"{lam!r} touches the box boundary; rim undefined")
+    return lam.parts[0] + len(lam.parts) + 1
+
+
 def rim_size_by_scan(lam):
     """Number of box cells outside lam that share an edge or a vertex with a
     diagram cell, counted by testing the 8 neighbours of every box cell.
@@ -397,6 +428,27 @@ def rim_size_by_scan(lam):
 
 
 # -- Minor labels and column slices ---------------------------------------------
+
+
+def partition_from_multi_index(entries, shape: GrassmannShape) -> Partition:
+    """Partition indexing the Schubert variety whose open cell contains the
+    torus-fixed point of the multi-index.
+
+    The s-th multi-index entry is s plus the (k+1-s)-th part, so the two
+    descriptions carry the same data.
+
+    >>> partition_from_multi_index((2, 3, 6), GrassmannShape(3, 6)).parts
+    (3, 1, 1)
+    """
+    entries = _check_multi_index(entries, shape)
+    parts = [entries[s - 1] - s for s in range(shape.k, 0, -1)]
+    return Partition(parts, shape)
+
+
+def multi_index_from_partition(lam: Partition) -> tuple[int, ...]:
+    """Inverse of :func:`partition_from_multi_index`."""
+    k = lam.shape.k
+    return tuple(s + lam.part(k + 1 - s) for s in range(1, k + 1))
 
 
 def minor_leq(label1, label2) -> bool:
@@ -862,6 +914,21 @@ def equation_form_lp(lam):
     return lp
 
 
+# -- Thresholds of rectangles in closed form ------------------------------------
+
+
+def lct_rectangular(a: int, b: int, shape: GrassmannShape) -> Fraction:
+    """Closed form for the threshold of a rectangular diagram (b^a):
+    the minimum of (a+s)(b+s)/(s+1) as the rectangle grows diagonally."""
+    k, c = shape.k, shape.cols
+    if type(a) is not int or type(b) is not int:
+        raise ValueError(f"rectangle sides must be integers: {a!r} x {b!r}")
+    if not (1 <= a <= k and 1 <= b <= c):
+        raise ValueError(f"rectangle {a} x {b} does not fit in the {k} x {c} box")
+    r = min(k - a, c - b)
+    return min(Fraction((a + s) * (b + s), s + 1) for s in range(r + 1))
+
+
 # -- Linear programs by basic-solution enumeration -----------------------------
 
 
@@ -927,24 +994,30 @@ def brute_lp_max(lp):
     return best
 
 
-def brute_force_arnold(lam, height_bound):
-    """Maximize ord(lambda)(beta)/|beta| over integer plane partitions of
-    bounded height; an enumeration cross-check for the linear program.
+def brute_force_arnold(lams, height_bound):
+    """For each of the partitions lams, all of one shape, the maximum of
+    ord(lambda)(beta)/|beta| over integer plane partitions of bounded
+    height; an enumeration cross-check for the linear program.
 
+    The plane partitions are listed once and checked against every lambda.
     The maximum over all of SV(k,n) is attained at a rational vertex, so
     the bounded search equals the true Arnold multiplicity once the bound
     covers a scaled vertex.
     """
-    if not lam:
+    lams = list(lams)
+    if not all(lams):
         raise ValueError("the pair with the whole Grassmannian has no threshold")
-    best = Fraction(0)
-    for beta in all_plane_partitions(lam.shape, height_bound):
-        if not beta.volume:
+    best = [(0, 1)] * len(lams)
+    for beta in all_plane_partitions(lams[0].shape, height_bound):
+        volume = beta.volume
+        if not volume:
             continue
-        ratio = Fraction(ord_schubert(beta, lam), beta.volume)
-        if ratio > best:
-            best = ratio
-    return best
+        for u, lam in enumerate(lams):
+            order = ord_schubert(beta, lam)
+            num, den = best[u]
+            if order * den > num * volume:
+                best[u] = order, volume
+    return [Fraction(num, den) for num, den in best]
 
 
 def sv_extremal_points(shape):
@@ -1013,6 +1086,38 @@ def g24_orders(beta):
 
 
 # -- Containment verdicts, refutation first -------------------------------------
+
+
+def plucker_leq(beta: PlanePartition, beta2: PlanePartition) -> bool:
+    """Pluecker order: every coordinate vanishes to order at most that of
+    the second argument's stratum."""
+    _same_shape(beta, beta2)
+    return _plucker_drop(beta, beta2) is None
+
+
+def necessary_containment(beta: PlanePartition, beta2: PlanePartition) -> bool:
+    """Whether the containment of stratum closures is not yet excluded.
+
+    False means impossible: some Pluecker order drops, or the volume does
+    not strictly increase (see _refutation).
+    """
+    _same_shape(beta, beta2)
+    return beta == beta2 or _refutation(beta, beta2) is None
+
+
+def sufficient_by_plateau(beta: PlanePartition, beta2: PlanePartition) -> bool:
+    """Whether the second plane partition is reached from the first by
+    adding boxes at plateau corners with positive fall, one at a time.
+
+    Each single step yields a strict containment of stratum closures, and
+    the chain composes them.  The search is greedy (lowest floor, then
+    lexicographic), so False only means this particular criterion did not
+    apply.  Equal arguments give False: no box is added.
+    """
+    _same_shape(beta, beta2)
+    if beta == beta2:
+        return False
+    return _plateau_chain(beta, beta2) is not None
 
 
 def compare_refutation_first(beta, beta2):

@@ -7,7 +7,7 @@ import pkgutil
 import schubert_arcs
 
 # examples each module is known to hold; a module missing here holds none
-EXAMPLES = {"partitions": 1, "plane_partitions": 3, "series": 1}
+EXAMPLES = {"plane_partitions": 3, "series": 1}
 
 
 def test_source_doctests_pass():

@@ -5,6 +5,7 @@ imports dataclasses and inspect) and every layer the other tests use.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -56,6 +57,14 @@ CLI_RUNS = [
     (["sing", *G24, "--lambda", "1"], 0, EXACT | {"schubert_arcs.networks"}),
     (["generic-arc", *G24, *BETA], 0, {"schubert_arcs.nash"} | LP),
 ]
+
+
+# names no program path calls: deleted, or moved to tests/oracles.py
+NOT_PUBLIC = (
+    "bruhat_leq", "contact_profile", "lct_equals_codim", "lct_rectangular",
+    "multi_index_from_partition", "necessary_containment", "partition_from_multi_index",
+    "plucker_leq", "rim_size", "sufficient_by_plateau",
+)
 
 
 def run_python(code, *args):
@@ -114,6 +123,16 @@ def test_every_public_name_is_its_defining_module_object():
     )
     assert out.strip() == "ok"
     assert len(set(schubert_arcs.__all__)) == len(schubert_arcs.__all__)
+
+
+def test_names_only_the_tests_use_are_not_public():
+    assert not set(NOT_PUBLIC) & set(schubert_arcs.__all__)
+    for name in NOT_PUBLIC:
+        with pytest.raises(AttributeError):
+            getattr(schubert_arcs, name)
+        for module_name in schubert_arcs._EXPORTS:
+            module = importlib.import_module(f"schubert_arcs.{module_name}")
+            assert not hasattr(module, name), (module_name, name)
 
 
 def test_star_import_binds_every_public_name():

@@ -13,9 +13,6 @@ from schubert_arcs import (
     build_lp,
     integer_witness,
     lct,
-    lct_equals_codim,
-    lct_rectangular,
-    rim_size,
     solve_max,
 )
 from schubert_arcs.partitions import all_partitions
@@ -26,6 +23,8 @@ from oracles import (
     brute_lp_max,
     distinct_floor_count,
     equation_form_lp,
+    lct_rectangular,
+    rim_size,
     shapes_up_to,
     sv_extremal_points,
     two_phase_max,
@@ -124,8 +123,7 @@ def test_threshold_equals_codim_iff_small_rim():
         for lam in all_partitions(shape):
             if len(lam.parts) > shape.k - 1 or lam.parts[0] > shape.cols - 1:
                 continue
-            assert lct_equals_codim(lam) == (lam.size <= rim_size(lam))
-            assert lct_equals_codim(lam) == (lct(lam) == lam.size)
+            assert (lct(lam) == lam.size) == (lam.size <= rim_size(lam))
 
 
 def test_witness_certifies_the_optimum():
@@ -147,10 +145,10 @@ def test_witness_certifies_the_optimum():
 
 
 def test_brute_force_matches_program_on_g24():
-    for lam in all_partitions(G24):
-        assert brute_force_arnold(lam, 4) == arnold_multiplicity(lam)
+    lams = list(all_partitions(G24))
+    assert brute_force_arnold(lams, 4) == [arnold_multiplicity(lam) for lam in lams]
     with pytest.raises(ValueError):
-        brute_force_arnold(Partition((), G24), 2)
+        brute_force_arnold([Partition((), G24)], 2)
 
 
 def test_multi_floor_witness():

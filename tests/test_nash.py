@@ -19,10 +19,7 @@ from schubert_arcs import (
     discrepancy_data,
     home_center,
     nash_valuations,
-    necessary_containment,
-    plucker_leq,
     singular_components,
-    sufficient_by_plateau,
     sufficient_by_weight_exponents,
 )
 from schubert_arcs.partitions import Partition, all_partitions, format_multi_index
@@ -31,8 +28,11 @@ from oracles import (
     compare_refutation_first,
     g24_orders,
     grown_plane_partition,
+    necessary_containment,
+    plucker_leq,
     random_plane_partition,
     shapes_up_to,
+    sufficient_by_plateau,
 )
 
 G24 = GrassmannShape(2, 4)

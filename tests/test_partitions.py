@@ -10,11 +10,7 @@ from schubert_arcs import (
     Partition,
     PlanePartition,
     all_partitions,
-    bruhat_leq,
-    multi_index_from_partition,
     outside_corners,
-    partition_from_multi_index,
-    rim_size,
     schubert_conditions,
     singular_components,
 )
@@ -33,8 +29,11 @@ from oracles import (
     final_multi_index,
     fixed_point_census,
     minor_leq,
+    multi_index_from_partition,
     multi_index_of_minor,
+    partition_from_multi_index,
     rectangle_ideal_minors,
+    rim_size,
     rim_size_by_scan,
     shapes_up_to,
 )
@@ -143,9 +142,9 @@ def test_bruhat_is_containment_order():
     for lam in lams:
         for mu in lams:
             expected = all(lam.part(i) <= mu.part(i) for i in range(1, 4))
-            assert bruhat_leq(lam, mu) == expected
+            assert mu.contains(lam) == expected
     empty = Partition((), G36)
-    assert all(bruhat_leq(empty, mu) for mu in lams)
+    assert all(mu.contains(empty) for mu in lams)
 
 
 def test_schubert_conditions_are_the_corners():
@@ -176,12 +175,12 @@ def test_singular_components_match_fixed_point_census():
         lams = [Partition((), shape), *all_partitions(shape)]
         for lam in lams:
             members, singular = fixed_point_census(lam)
-            assert members == {mu for mu in lams if bruhat_leq(lam, mu)}
+            assert members == {mu for mu in lams if mu.contains(lam)}
             comps = singular_components(lam)
             for comp in comps:
-                assert bruhat_leq(lam, comp) and comp != lam
+                assert comp.contains(lam) and comp != lam
             assert singular == {
-                mu for mu in members if any(bruhat_leq(comp, mu) for comp in comps)
+                mu for mu in members if any(mu.contains(comp) for comp in comps)
             }, lam
 
 

@@ -13,8 +13,8 @@ from schubert_arcs import (
     InvalidPlanePartition,
     Partition,
     PlanePartition,
+    all_partitions,
     all_plane_partitions,
-    contact_profile,
     essential_profile,
     floors,
     from_essential,
@@ -136,7 +136,7 @@ def test_ord_schubert_minimizes_over_corners():
     assert ord_schubert(beta, Partition((3, 1, 1), G36)) == 1
     with pytest.raises(ValueError):
         ord_schubert(beta, Partition((), G36))
-    profile = contact_profile(beta)
+    profile = {lam: ord_schubert(beta, lam) for lam in all_partitions(G36)}
     for lam, order in profile.items():
         alpha = essential_profile(beta)
         assert order == min(alpha[a - 1][b - 1] for a, b in schubert_conditions(lam))
