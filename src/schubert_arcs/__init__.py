@@ -40,7 +40,7 @@ _EXPORTS = {
         "tropical_minor_order", "weight_matrix",
     ),
     "nash": (
-        "ContainmentVerdict", "codim", "codim_chain", "compare", "discrepancy_data",
+        "ContainmentVerdict", "codim_chain", "compare", "discrepancy_data",
         "nash_valuations", "sufficient_by_weight_exponents",
     ),
     "simplex": ("LPSolution", "RationalLP", "solve_max"),

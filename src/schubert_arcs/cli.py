@@ -147,12 +147,11 @@ def cmd_nash_compare(args):
 
 
 def cmd_codim(args):
-    from . import nash
-
     beta = args.beta
     if not beta.is_finite:
-        value = nash.codim(beta)
-        return {"codim": _ext_json(value)}, [f"codim: {format_ext(value)}"]
+        return {"codim": _ext_json(beta.volume)}, [f"codim: {format_ext(beta.volume)}"]
+    from . import nash
+
     volume, q, k = nash.discrepancy_data(beta)
     payload = {"codim": volume, "multiplicity (computed)": q, "discrepancy": k}
     plain = [

@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import lcm
 
 from .partitions import GrassmannShape, Partition, schubert_conditions
-from .plane_partitions import PlanePartition, _diagonal_positions
+from .plane_partitions import PlanePartition
 
 
 def _var(shape: GrassmannShape, i: int, j: int) -> int:
@@ -57,7 +57,7 @@ def build_lp(lam: Partition) -> RationalLP:
     lp.add([1] * t + [0], 1)
     for a, b in schubert_conditions(lam):
         row = [0] * t + [1]
-        for i, j in _diagonal_positions(shape, a, b):
+        for i, j in zip(range(a, k + 1), range(b, c + 1)):
             row[_var(shape, i, j)] = -1
         lp.add(row, 0)
     return lp

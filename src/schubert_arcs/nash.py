@@ -24,7 +24,6 @@ from collections import namedtuple
 from .partitions import GrassmannShape, Partition, format_multi_index, singular_components
 from .plane_partitions import (
     INF,
-    ExtNat,
     Infinity,
     PlanePartition,
     plateaux,
@@ -163,11 +162,6 @@ def compare(beta: PlanePartition, beta2: PlanePartition) -> ContainmentVerdict:
     return ContainmentVerdict(
         "unknown", "necessary conditions hold but no sufficient criterion applies"
     )
-
-
-def codim(beta: PlanePartition) -> ExtNat:
-    """Codimension of the contact stratum: the number of boxes."""
-    return beta.volume
 
 
 def discrepancy_data(beta: PlanePartition) -> tuple[int, int, int]:

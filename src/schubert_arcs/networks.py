@@ -26,7 +26,8 @@ from itertools import combinations, combinations_with_replacement
 
 from .partitions import GrassmannShape, _check_natural, minor_of_multi_index
 from .plane_partitions import (
-    ExtNat, PlanePartition, PrecisionExceeded, _essential_neighbours, diagonal_sum, weight_exponents,
+    ExtNat, PlanePartition, PrecisionExceeded, _essential_neighbours, essential_profile,
+    weight_exponents,
 )
 
 
@@ -285,11 +286,11 @@ def generic_arc(
     by a non-negative int (any other seed raises ValueError).
     Infinite entries are rejected: they have no finite-precision realization.
     A precision below the largest contact order the weighting must realize,
-    the diagonal sum at (1, 1), raises PrecisionExceeded at that position.
+    the diagonal sum D(1, 1), raises PrecisionExceeded at that position.
     """
     from .series import big_cell_arc
 
     weights = essential_weighting(beta, precision, seed)  # inf entries raise here
-    if precision < diagonal_sum(beta, 1, 1):
+    if precision < essential_profile(beta)[0][0]:
         raise PrecisionExceeded((1, 1), precision + 1)
     return big_cell_arc(weight_matrix(weights))

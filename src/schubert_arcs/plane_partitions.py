@@ -176,7 +176,7 @@ class PlanePartition(_Value):
 
     @property
     def height(self) -> ExtNat:
-        return self.rows[0][0] if self.rows else 0
+        return self.rows[0][0]
 
     @property
     def is_finite(self) -> bool:
@@ -195,26 +195,10 @@ class PlanePartition(_Value):
         return f"PlanePartition({format_plane_partition(self)!r}, {self.shape!r})"
 
 
-def _diagonal_positions(shape: GrassmannShape, a: int, b: int):
-    """Positions (a, b), (a+1, b+1), ... of the diagonal, within the box."""
-    return zip(range(a, shape.k + 1), range(b, shape.cols + 1))
-
-
-def diagonal_sum(beta: PlanePartition, a: int, b: int) -> ExtNat:
-    """Sum of entries on the diagonal starting at (a, b), within the box;
-    a start that is not a pair of ints raises ValueError."""
-    if type(a) is not int or type(b) is not int:
-        raise ValueError(f"position ({a!r}, {b!r}) is not a pair of ints")
-    total: ExtNat = 0
-    for i, j in _diagonal_positions(beta.shape, a, b):
-        total = total + beta.at(i, j)
-    return total
-
-
 def ord_schubert(beta: PlanePartition, lam: Partition) -> ExtNat:
     """Contact order of a generic arc of the stratum of beta with the
     Schubert variety of lam: the smallest diagonal sum over the corners
-    of lam.
+    of lam, read off the essential profile.
 
     The empty partition indexes the whole Grassmannian, whose ideal
     vanishes identically, so it is rejected.
@@ -223,7 +207,8 @@ def ord_schubert(beta: PlanePartition, lam: Partition) -> ExtNat:
         raise ValueError("plane partition and partition live in different shapes")
     if not lam:
         raise ValueError("contact order with the whole space is undefined")
-    return min(diagonal_sum(beta, a, b) for a, b in schubert_conditions(lam))
+    alpha = essential_profile(beta)
+    return min(alpha[a - 1][b - 1] for a, b in schubert_conditions(lam))
 
 
 def essential_profile(beta: PlanePartition) -> tuple[tuple[ExtNat, ...], ...]:

@@ -43,7 +43,8 @@ class NotInBigCell(ValueError):
 
 
 class TruncatedSeries:
-    """A power series known exactly modulo t^(precision+1).
+    """A power series known exactly modulo t^(precision+1), where the
+    precision is the number of coefficients given less one.
 
     Coefficients are exact: each is an ``int`` (not a ``bool``) or a
     ``Fraction``, and anything else raises ``ValueError``.  They are kept as
@@ -60,14 +61,8 @@ class TruncatedSeries:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, precision: int | None = None):
+    def __init__(self, coeffs):
         coeffs = tuple(coeffs)
-        if precision is not None:
-            _check_natural(precision, "precision")
-            if len(coeffs) > precision + 1:
-                coeffs = coeffs[: precision + 1]
-            else:
-                coeffs += (0,) * (precision + 1 - len(coeffs))
         if not coeffs:
             raise ValueError("a truncated series needs at least the constant coefficient")
         if any(type(c) not in _EXACT for c in coeffs):
@@ -234,9 +229,9 @@ def big_cell_arc(affine: SeriesMatrix) -> SeriesMatrix:
 
 
 def series_det(matrix: SeriesMatrix, rows, cols) -> TruncatedSeries:
-    """Determinant of the square submatrix on ``rows`` x ``cols`` (0-based),
-    in any order and with repeats; an index that is no int (a bool is not
-    one) or lies outside the matrix raises ValueError.
+    """Determinant of the square submatrix on ``rows`` x ``cols``: tuples
+    of one length of 0-based indexes inside the matrix, in any order and
+    with repeats, which are not checked.
 
     A minor of size 1 is its entry and one of size 2 is ad - bc.  Larger
     minors use subset dynamic programming, keyed by the bit mask of the
@@ -251,14 +246,7 @@ def series_det(matrix: SeriesMatrix, rows, cols) -> TruncatedSeries:
     subtracting int zeros changes no coefficient's value or type.  Big-cell
     arcs (X | D) have k^2 - k zero entries in D.
     """
-    rows, cols = tuple(rows), tuple(cols)
     s = len(rows)
-    if s != len(cols):
-        raise ValueError("determinant needs a square submatrix")
-    for index, bound in ((rows, matrix.nrows), (cols, matrix.ncols)):
-        for x in index:
-            if type(x) is not int or not 0 <= x < bound:
-                raise ValueError(f"minor {rows} x {cols} outside a {matrix.nrows} x {matrix.ncols} matrix")
     entry = matrix.entries
     if s == 1:
         return entry[rows[0]][cols[0]]

@@ -63,7 +63,6 @@ from schubert_arcs.nash import (
     sufficient_by_weight_exponents,
 )
 from schubert_arcs.partitions import _check_multi_index, schubert_conditions
-from schubert_arcs.plane_partitions import _diagonal_positions, ord_schubert
 from schubert_arcs.series import series_det
 from schubert_arcs.simplex import LPSolution
 
@@ -246,8 +245,8 @@ def generic_arc_by_paths(beta, precision=16, seed=None):
     affine = weight_matrix_by_paths(w)
     rows = []
     for i, row in enumerate(affine.entries):
-        pad = [TruncatedSeries([0], precision) for _ in range(shape.k)]
-        pad[shape.k - 1 - i] = TruncatedSeries([1], precision)
+        pad = [TruncatedSeries([0] * (precision + 1)) for _ in range(shape.k)]
+        pad[shape.k - 1 - i] = TruncatedSeries([1] + [0] * precision)
         rows.append(list(row) + pad)
     return SeriesMatrix(rows)
 
@@ -889,7 +888,8 @@ def equation_form_lp(lam):
     k, c = shape.k, shape.cols
     lp = TwoPhaseLP(k * c, [0] * (k * c))
     corners = schubert_conditions(lam)
-    for i, j in _diagonal_positions(shape, *corners[0]):
+    a, b = corners[0]
+    for i, j in zip(range(a, k + 1), range(b, c + 1)):
         lp.objective[_var(shape, i, j)] = 1
     for i in range(1, k + 1):
         for j in range(1, c + 1):
@@ -906,9 +906,9 @@ def equation_form_lp(lam):
     lp.add([1] * (k * c), "=", 1)
     for (a, b), (a2, b2) in zip(corners, corners[1:]):
         row = [0] * (k * c)
-        for i, j in _diagonal_positions(shape, a, b):
+        for i, j in zip(range(a, k + 1), range(b, c + 1)):
             row[_var(shape, i, j)] += 1
-        for i, j in _diagonal_positions(shape, a2, b2):
+        for i, j in zip(range(a2, k + 1), range(b2, c + 1)):
             row[_var(shape, i, j)] -= 1
         lp.add(row, "=", 0)
     return lp
@@ -999,21 +999,25 @@ def brute_force_arnold(lams, height_bound):
     ord(lambda)(beta)/|beta| over integer plane partitions of bounded
     height; an enumeration cross-check for the linear program.
 
-    The plane partitions are listed once and checked against every lambda.
-    The maximum over all of SV(k,n) is attained at a rational vertex, so
-    the bounded search equals the true Arnold multiplicity once the bound
-    covers a scaled vertex.
+    The plane partitions are listed once and checked against every lambda:
+    each lambda's corners are worked out once and each beta's essential
+    profile once, and ord(lambda)(beta) is the least profile entry at a
+    corner.  The maximum over all of SV(k,n) is attained at a rational
+    vertex, so the bounded search equals the true Arnold multiplicity once
+    the bound covers a scaled vertex.
     """
     lams = list(lams)
     if not all(lams):
         raise ValueError("the pair with the whole Grassmannian has no threshold")
+    corners = [[(a - 1, b - 1) for a, b in schubert_conditions(lam)] for lam in lams]
     best = [(0, 1)] * len(lams)
     for beta in all_plane_partitions(lams[0].shape, height_bound):
         volume = beta.volume
         if not volume:
             continue
-        for u, lam in enumerate(lams):
-            order = ord_schubert(beta, lam)
+        alpha = essential_profile(beta)
+        for u, cells in enumerate(corners):
+            order = min(alpha[a][b] for a, b in cells)
             num, den = best[u]
             if order * den > num * volume:
                 best[u] = order, volume

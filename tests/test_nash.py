@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import math
 import random
 
 import pytest
@@ -13,8 +14,8 @@ from schubert_arcs import (
     Infinity,
     PlanePartition,
     all_plane_partitions,
-    codim,
     codim_chain,
+    essential_profile,
     compare,
     discrepancy_data,
     home_center,
@@ -280,9 +281,9 @@ def test_plateau_requires_strict_growth():
 
 
 def test_codim_is_volume():
-    assert codim(pp("3 2; 1 1", G24)) == 7
-    assert codim(PlanePartition.zero(G36)) == 0
-    assert codim(pp("inf 1; 1 0", G24)) == INF
+    assert pp("3 2; 1 1", G24).volume == 7
+    assert PlanePartition.zero(G36).volume == 0
+    assert pp("inf 1; 1 0", G24).volume == INF
 
 
 def test_discrepancy_data_frozen():
@@ -291,6 +292,29 @@ def test_discrepancy_data_frozen():
     assert discrepancy_data(PlanePartition.zero(G24)) == (0, 0, 0)
     with pytest.raises(ValueError):
         discrepancy_data(pp("inf 1; 1 0", G24))
+
+
+def test_multiplicity_is_the_gcd_of_the_diagonal_sums():
+    """The multiplicity, the gcd of all Pluecker orders, is the gcd of the
+    entries D(a, b) of the essential profile.
+
+    The gcd of the orders divides every D(a, b): D(a, b) is the order of
+    the rectangle Schubert variety with the one corner (a, b), whose ideal
+    is generated by Pluecker coordinates, and the order of an ideal at an
+    arc is the least order of its generators, so D(a, b) is one of the
+    Pluecker orders.  The gcd of the D(a, b) divides every Pluecker order:
+    each is the exponent total of one path family, the weight exponents
+    are differences of entries of beta, and beta(a, b) = D(a, b) -
+    D(a+1, b+1), so every Pluecker order is an integer combination of
+    diagonal sums.
+    """
+    checked = 0
+    for (k, n), h in [((2, 4), 4), ((2, 5), 3), ((2, 6), 3), ((3, 6), 2), ((3, 7), 2), ((4, 8), 1)]:
+        for beta in all_plane_partitions(GrassmannShape(k, n), h):
+            gcd = math.gcd(*(d for row in essential_profile(beta) for d in row))
+            assert discrepancy_data(beta)[1] == gcd, beta
+            checked += 1
+    assert checked == 1505
 
 
 def test_codim_chain_frozen():

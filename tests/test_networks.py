@@ -29,7 +29,7 @@ from schubert_arcs.networks import (
     weight_matrix,
 )
 from schubert_arcs.partitions import all_partitions, minor_of_multi_index
-from schubert_arcs.plane_partitions import all_plane_partitions, diagonal_sum, essential_profile
+from schubert_arcs.plane_partitions import all_plane_partitions, essential_profile
 from schubert_arcs.series import TruncatedSeries, big_cell_arc, format_arc_matrix, series_det
 
 from oracles import (
@@ -106,12 +106,12 @@ def test_weight_matrix_by_prime_substitution():
     # Constant weights w = [[2,3,5],[7,11,13]] make every path sum a plain
     # integer, exposing the path structure: a prime factorization per path.
     prec = 4
-    wmat = [[TruncatedSeries([p], prec) for p in row] for row in [[2, 3, 5], [7, 11, 13]]]
+    wmat = [[TruncatedSeries([p] + [0] * prec) for p in row] for row in [[2, 3, 5], [7, 11, 13]]]
     X = weight_matrix(wmat)
     expected = [[5032, 718, 65], [1001, 143, 13]]
     for i in range(2):
         for j in range(3):
-            assert X.entries[i][j] == TruncatedSeries([expected[i][j]], prec)
+            assert X.entries[i][j] == TruncatedSeries([expected[i][j]] + [0] * prec)
 
 
 def test_weight_matrix_matches_path_enumeration():
@@ -403,7 +403,7 @@ def test_generic_arc_matches_the_checked_assembly():
     # the library gave before it skipped the checks
     texts = []
     for beta, seed in _generic_arc_inputs():
-        precision = diagonal_sum(beta, 1, 1) + 1
+        precision = essential_profile(beta)[0][0] + 1
         arc = generic_arc(beta, precision, seed)
         reference = generic_arc_by_paths(beta, precision, seed)
         assert arc == reference and arc.precision == precision, (beta, seed)

@@ -26,7 +26,6 @@ from schubert_arcs import (
     weight_exponents,
 )
 from schubert_arcs.plane_partitions import (
-    diagonal_sum,
     format_ext,
     format_plane_partition,
     parse_ext,
@@ -111,22 +110,16 @@ def test_positions_must_be_ints():
             beta.at(*bad)
         with pytest.raises(ValueError, match="is not a pair of ints"):
             beta.add_box(*bad)
-        with pytest.raises(ValueError, match="is not a pair of ints"):
-            diagonal_sum(beta, *bad)
-    with pytest.raises(ValueError, match="is not a pair of ints"):
-        diagonal_sum(beta, 1.5, 1)
     with pytest.raises(IndexError):
         beta.at(0, 1)
-    assert diagonal_sum(beta, 4, 1) == 0
 
 
 def test_diagonal_sums_and_rectangle_orders():
     beta = pp("3 2 1; 2 1 1; 1 1 0", G36)
-    assert diagonal_sum(beta, 1, 1) == 3 + 1 + 0
-    assert diagonal_sum(beta, 1, 3) == 1
-    assert diagonal_sum(beta, 3, 1) == 1
     alpha = essential_profile(beta)
     assert alpha == ((4, 3, 1), (3, 1, 1), (1, 1, 0))
+    assert alpha[0][0] == beta.at(1, 1) + beta.at(2, 2) + beta.at(3, 3)
+    assert alpha[0][2] == beta.at(1, 3) and alpha[2][0] == beta.at(3, 1)
     assert from_essential(alpha, G36) == beta
 
 
@@ -193,9 +186,13 @@ def test_essential_profile_is_every_diagonal_sum():
                 shape,
             )
             for case in (beta, grown, pillars):
+                # each diagonal walked from its start to the edge of the box
                 expected = tuple(
-                    tuple(diagonal_sum(case, i, j) for j in range(1, c + 1))
-                    for i in range(1, k + 1)
+                    tuple(
+                        sum(case.rows[i + d][j + d] for d in range(min(k - i, c - j)))
+                        for j in range(c)
+                    )
+                    for i in range(k)
                 )
                 assert essential_profile(case) == expected, case
 

@@ -62,10 +62,10 @@ def t_pow(e, prec=8, coeff=1):
 
 
 def test_series_construction_and_precision():
-    s = TruncatedSeries([1, 2], 4)
+    s = TruncatedSeries([1, 2, 0, 0, 0])
     assert s.coeffs == (1, 2, 0, 0, 0)
     assert s.precision == 4
-    assert TruncatedSeries([1, 2, 3, 4], 2).coeffs == (1, 2, 3)
+    assert TruncatedSeries([1, 2, 3, 4]).truncate(2).coeffs == (1, 2, 3)
     assert t_pow(9, prec=4) == TruncatedSeries.zero(4)
     assert s.truncate(1).coeffs == (1, 2)
     assert s.truncate(10) is s
@@ -73,6 +73,9 @@ def test_series_construction_and_precision():
         TruncatedSeries([])
     with pytest.raises(ValueError):
         TruncatedSeries.t_power(-1, 4)
+    # the precision is the number of coefficients, never a second argument
+    with pytest.raises(TypeError):
+        TruncatedSeries([1], 4)
 
 
 def test_series_arithmetic():
@@ -98,18 +101,12 @@ def test_series_order_and_units():
 
 
 def test_coefficients_must_be_exact():
-    for coeffs in ([0.5, 1], ["a"], [True, 2], [1, None]):
+    for coeffs in ([0.5, 1], ["a"], [True, 2], [1, None], [1.0]):
         with pytest.raises(ValueError):
             TruncatedSeries(coeffs)
-    with pytest.raises(ValueError):
-        TruncatedSeries([1.0], 3)
-    with pytest.raises(ValueError):
-        TruncatedSeries([0.5], 3)
 
 
 def test_precision_must_not_be_negative():
-    with pytest.raises(ValueError):
-        TruncatedSeries([1] * 10, -5)
     with pytest.raises(ValueError):
         TruncatedSeries([1, 2]).truncate(-1)
     with pytest.raises(ValueError):
@@ -123,7 +120,6 @@ def test_precision_and_exponent_must_be_naturals():
     s = TruncatedSeries([1, 2])
     for bad in (True, False, 1.5, 2.0, "2", -1):
         for build in (
-            lambda p: TruncatedSeries([1], p),
             TruncatedSeries.zero,
             TruncatedSeries.one,
             lambda p: TruncatedSeries.t_power(1, p),
@@ -138,22 +134,14 @@ def test_precision_and_exponent_must_be_naturals():
     for bad in (True, 1.5):
         with pytest.raises(ValueError):
             generic_arc(zero_beta, precision=bad)
-    # None still means "as many coefficients as given"
-    assert TruncatedSeries([1, 2], None).precision == 1
+    assert TruncatedSeries([1, 2]).precision == 1
     assert TruncatedSeries.t_power(0, 0) == TruncatedSeries.one(0)
 
 
-def test_determinant_indexes_must_lie_in_the_matrix():
-    # -1 used to read the last row and 5 to raise IndexError; True used to
-    # read row 1 and 0.5 to raise TypeError
+def test_determinant_takes_rows_and_columns_in_any_order():
     m = parse_arc_matrix("1, t, 0; t, 1, t^2", 4)
-    for rows, cols in (([-1], [0]), ([0], [-1]), ([2], [0]), ([0], [3]), ([5], [0]),
-                       ([0, -1], [0, 1]), ([0, 1], [1, 3]), ([0, 1, 2], [0, 1, 2]),
-                       ([True], [0]), ([0], [False]), ([0.5], [1]), ([0], [1.0]),
-                       ([0, True], [0, 1]), ([0, 1], [0, 2.0])):
-        with pytest.raises(ValueError):
-            series_det(m, rows, cols)
     assert series_det(m, [1, 0], [2, 0]) == perm_det(m, [1, 0], [2, 0])
+    assert series_det(m, [0, 0], [1, 2]) == perm_det(m, [0, 0], [1, 2]) == TruncatedSeries.zero(4)
     assert series_det(m, [], []) == TruncatedSeries.one(4)
 
 
@@ -444,8 +432,6 @@ def test_determinants_match_permutation_expansion():
         rows = tuple(sorted(rng.sample(range(nrows), size)))
         cols = tuple(sorted(rng.sample(range(ncols), size)))
         assert series_det(m, rows, cols) == perm_det(m, rows, cols)
-    with pytest.raises(ValueError):
-        series_det(m, (0,), (0, 1))
 
 
 def test_profile_frozen_arcs():
@@ -716,7 +702,7 @@ def test_row_operations_keep_the_profile():
         while len(_pivot_columns(g0)) < k:
             g0 = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
         g = [
-            [TruncatedSeries([g0[i][u], rng.randint(-2, 2), rng.randint(-2, 2)], prec) for u in range(k)]
+            [TruncatedSeries([g0[i][u], rng.randint(-2, 2), rng.randint(-2, 2)] + [0] * (prec - 2)) for u in range(k)]
             for i in range(k)
         ]
         moved = SeriesMatrix(
@@ -871,6 +857,41 @@ def test_borel_translate_is_total():
                 assert [row[: n - k] for row in moved.entries] == [row[: n - k] for row in arc.entries]
             outcomes[got if got is NotAnArc else type(got)] += 1
     assert min(outcomes.values()) >= 40, outcomes
+
+
+def test_profile_read_off_an_arc_outside_the_big_cell_is_that_of_its_translate():
+    """The Borel translation changes no order that the profile reads: an
+    upper-triangular change of columns keeps the span of every column
+    prefix, so the orders of the minors of each prefix do not move.  The
+    rectangle orders read off an arc as given, outside the big cell, are
+    those of the profile of its translate; where one lies above the
+    precision, the profile raises PrecisionExceeded at the first such
+    position, row by row, with the bound precision + 1."""
+    rng = random.Random(71)
+    outcomes = collections.Counter()
+    for k, n in [(2, 4), (2, 5), (3, 5), (3, 6), (4, 7), (4, 8)]:
+        for _ in range(8):
+            beta = random_plane_partition(GrassmannShape(k, n), 2, rng)
+            arc = generic_arc(beta, precision=10, seed=rng.randrange(10**6))
+            for precision in (10, essential_profile(beta)[0][0] - 1):
+                if precision < 0:
+                    continue
+                truncated = SeriesMatrix([[e.truncate(precision) for e in row] for row in arc.entries])
+                moved = _out_of_big_cell(truncated, rng)
+                if moved is None:
+                    continue
+                assert _outcome(_check_big_cell, moved)[0] is NotInBigCell
+                alpha = naive_alpha(moved)
+                above = [(a, b) for a, row in enumerate(alpha, 1) for b, d in enumerate(row, 1) if d > precision]
+                try:
+                    got = essential_profile(invariant_factor_profile(borel_translate(moved)))
+                except PrecisionExceeded as exc:
+                    assert above and (exc.position, exc.bound) == (above[0], precision + 1), alpha
+                    outcomes["raised"] += 1
+                else:
+                    assert not above and got == alpha
+                    outcomes["equal"] += 1
+    assert outcomes["equal"] >= 40 and outcomes["raised"] >= 20, outcomes
 
 
 def test_borel_translate_skips_the_roots_of_the_last_block():
