@@ -219,7 +219,11 @@ def weight_matrix(weights) -> SeriesMatrix:
 
 def _least_family_total(network: PlanarNetwork, sources, sinks, vertex, edge) -> ExtNat:
     """Minimum over the vertex-disjoint path families of the summed
-    exponents of a placement (vertex and edge dicts)."""
+    exponents of a placement (vertex and edge dicts).
+
+    Exponents lie in N and inf, so no total is below 0: the first family
+    that totals 0 is the minimum, and no later family is read.  The network
+    still lists and caches every family of the minor."""
     best: ExtNat | None = None
     for family in network.families(sources, sinks):
         total: ExtNat = 0
@@ -230,6 +234,8 @@ def _least_family_total(network: PlanarNetwork, sources, sinks, vertex, edge) ->
             for pair in zip(path, path[1:]):
                 if pair in edge:
                     total = total + edge[pair]
+        if total == 0:
+            return 0
         if best is None or total < best:
             best = total
     if best is None:

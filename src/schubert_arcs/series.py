@@ -363,46 +363,52 @@ def invariant_factor_profile(arc: SeriesMatrix) -> PlanePartition:
     Raises :class:`PrecisionExceeded` when a needed order exceeds the
     truncation window.
 
+    Each row is bounded by the row above: expanding a minor of entry
+    (a-1, b) along its last column writes it through minors of entry (a, b),
+    so alpha(a, b) <= alpha(a-1, b).  The running minimum of entry (a, b)
+    starts from alpha(a-1, b), or from the lower bound precision + 1 in
+    row 1, and its minors are built on the arc truncated to that many
+    coefficients: an order that reaches the bound reads as the bound and
+    changes no entry.  So only row 1 can raise.
+
     Only minors whose every column is live on their rows are built: the
-    rows on which each column is not the zero series are read in one pass
-    as a bit mask, and each set of rows keeps the list of columns whose
-    mask meets it.  A minor with a column that is zero on its rows is the
-    zero series, whose order is the lower bound precision + 1 that every
-    entry starts from, so leaving it out changes no entry and no
+    rows on which each column of the truncated arc is not the zero series
+    are read in one pass as a bit mask, and each set of rows keeps the list
+    of columns whose mask meets it.  A minor with a column that is zero on
+    its rows is the zero series, whose order is the bound the entry starts
+    from, so leaving it out changes no entry and no
     :class:`PrecisionExceeded` position or bound.  Each column of the unit
     block D of a big-cell arc (X | D) is zero on k - 1 rows.
     """
     _check_big_cell(arc)
     k, n = arc.nrows, arc.ncols
     shape = GrassmannShape(k, n)
-    c = shape.cols
-    # the bit mask of the rows on which each column is not the zero series
-    support = [0] * n
-    for i, entries in enumerate(arc.entries):
-        for j, e in enumerate(entries):
-            if any(e.coeffs):
-                support[j] |= 1 << i
-    alpha = []
+    alpha, above = [], [arc.precision + 1] * shape.cols
     for a in range(1, k + 1):
         s = k + 1 - a
-        # each set of s rows, with its bit mask and its live columns
-        live = []
-        for rows in combinations(range(k), s):
-            bits = sum(1 << i for i in rows)
-            live.append((rows, bits, [j for j in range(n) if support[j] & bits]))
-        row = []
-        # every minor shares the arc's precision, so a lower bound is always
-        # precision + 1 and loses to any exact order
+        row, m = [], None
         best = arc.precision + 1
-        for b in range(1, c + 1):
-            # new minors meet the new last column; at b = 1 they fill s columns
+        for b, top in enumerate(above, start=1):
+            # alpha(a, b) <= alpha(a-1, b) = top; in row 1, top is precision + 1
+            best = min(best, top)
             if best:
+                if m is None or m.precision >= top:
+                    # the arc modulo t^top, the bit mask of the rows on which
+                    # each of its columns is not the zero series, and each
+                    # set of s rows with its bit mask and its live columns
+                    m = SeriesMatrix._of(tuple(tuple(e.truncate(top - 1) for e in r) for r in arc.entries))
+                    support = [sum(1 << i for i, r in enumerate(m.entries) if any(r[j].coeffs)) for j in range(n)]
+                    live = []
+                    for rows in combinations(range(k), s):
+                        bits = sum(1 << i for i in rows)
+                        live.append((rows, bits, [j for j in range(n) if support[j] & bits]))
+                # new minors meet the new last column; at b = 1 they fill s columns
                 new_col = s + b - 2
                 for rows, bits, cols in live:
                     if not support[new_col] & bits:
                         continue
                     for old in combinations(cols[: cols.index(new_col)], s - 1):
-                        best = min(best, series_det(arc, rows, old + (new_col,)).order())
+                        best = min(best, series_det(m, rows, old + (new_col,)).order())
                         if best == 0:
                             break
                     if best == 0:
@@ -411,6 +417,7 @@ def invariant_factor_profile(arc: SeriesMatrix) -> PlanePartition:
                 raise PrecisionExceeded((a, b), best)
             row.append(best)
         alpha.append(row)
+        above = row
     try:
         return from_essential(alpha, shape)
     except ValueError as exc:

@@ -302,6 +302,41 @@ def test_tropical_orders_match_the_column_sweep():
                 assert plucker_ord(beta, entries) == expected, (beta, entries)
 
 
+def test_family_minimum_stops_at_the_first_family_of_total_zero(monkeypatch):
+    """Exponents are naturals or inf, so no family totals less than 0: on
+    strata of G(3,6) and G(4,8) no family after the first one of total 0 is
+    read, and every Pluecker order is still the column sweep's."""
+    rng = random.Random(43)
+    listed = PlanarNetwork.families
+    read = []
+
+    def counted(self, sources, sinks):
+        for family in listed(self, sources, sinks):
+            read.append(family)
+            yield family
+
+    monkeypatch.setattr(PlanarNetwork, "families", counted)
+    stops = 0
+    for shape in (GrassmannShape(3, 6), GrassmannShape(4, 8)):
+        for _ in range(5):
+            beta = random_plane_partition(shape, 3, rng)
+            vertex, edge = _placement(shape, weight_exponents(beta))
+            for entries in itertools.combinations(range(1, shape.n + 1), shape.k):
+                rows, cols = minor_of_multi_index(entries, shape)
+                read.clear()
+                assert plucker_ord(beta, entries) == column_sweep_minor_order(beta, rows, cols)
+                families = listed(gamma0(shape), rows, cols)
+                totals = [
+                    sum((vertex.get(v, 0) for path in family for v in path), 0)
+                    + sum((edge.get(pair, 0) for path in family for pair in zip(path, path[1:])), 0)
+                    for family in families
+                ]
+                first = totals.index(0) + 1 if 0 in totals else len(families)
+                assert read == list(families[:first]), (beta, entries)
+                stops += first < len(families)
+    assert stops >= 100, stops
+
+
 def test_final_minor_orders_recover_the_profile():
     for shape in (G24, GrassmannShape(3, 6)):
         net = gamma0(shape)

@@ -469,6 +469,14 @@ def test_profile_matches_naive_recomputation():
             assert naive_alpha(arc) == essential_profile(invariant_factor_profile(arc))
 
 
+def _assert_row_bound_premise(expected, unresolved):
+    """The premise of the profile's row bound, read off the oracle alone:
+    orders decrease weakly down every column, so the first position whose
+    order is only the lower bound lies in row 1."""
+    assert all(low <= high for above, below in zip(expected, expected[1:]) for high, low in zip(above, below))
+    assert not unresolved or unresolved[0][0] == 1, unresolved
+
+
 def test_profile_at_the_precision_boundary():
     """Big-cell arcs with sparse random entries at precision 0..4: the
     profile equals the exhaustive recomputation, or it raises at the first
@@ -491,6 +499,7 @@ def test_profile_at_the_precision_boundary():
             for b, order in enumerate(row, start=1)
             if order > prec
         ]
+        _assert_row_bound_premise(expected, unresolved)
         if unresolved:
             with pytest.raises(PrecisionExceeded) as info:
                 invariant_factor_profile(arc)
@@ -558,6 +567,7 @@ def test_profile_matches_naive_recomputation_on_moved_sparse_arcs(arc):
         for b, order in enumerate(row, start=1)
         if order > arc.precision
     ]
+    _assert_row_bound_premise(expected, unresolved)
     if unresolved:
         with pytest.raises(PrecisionExceeded) as info:
             invariant_factor_profile(arc)
@@ -592,6 +602,39 @@ def test_profile_builds_no_minor_with_a_column_zero_on_its_rows(monkeypatch):
                 monkeypatch.undo()
                 assert not dead, (format_arc_matrix(moved), dead[:3])
                 assert calls and profile == beta, format_arc_matrix(moved)
+
+
+def test_profile_builds_each_row_modulo_the_entry_above(monkeypatch):
+    """Seeded generic arcs of G(3,6) to G(5,10), as they are and Borel
+    translated: every minor of size s < k is built at a precision of at
+    most alpha(k-s, b) - 1, b the first column count that holds it, and the
+    profile is still the stratum."""
+    rng = random.Random(83)
+    plain_det = series_module.series_det
+    calls = []
+
+    def recorded(matrix, rows, cols):
+        calls.append((matrix.precision, len(rows), max(cols)))
+        return plain_det(matrix, rows, cols)
+
+    below_precision = 0
+    for k, n in [(3, 6), (4, 8), (5, 10)]:
+        for _ in range(3):
+            beta = random_plane_partition(GrassmannShape(k, n), 2, rng)
+            alpha = essential_profile(beta)
+            arc = generic_arc(beta, precision=10, seed=rng.randrange(10**6))
+            for moved in (arc, borel_translate(arc, seed=rng.randint(1, 4))):
+                calls.clear()
+                monkeypatch.setattr(series_module, "series_det", recorded)
+                profile = invariant_factor_profile(moved)
+                monkeypatch.undo()
+                assert profile == beta, format_arc_matrix(moved)
+                for precision, s, last in calls:
+                    if s < k:
+                        bound = alpha[k - s - 1][last - s + 1] - 1
+                        assert precision <= bound, (format_arc_matrix(moved), precision, s, last)
+                        below_precision += bound < moved.precision
+    assert below_precision >= 100, below_precision
 
 
 def test_profile_requires_an_arc_in_the_big_cell():
